@@ -17,7 +17,7 @@ from .bench import (
     make_worked_example,
     random_sma,
 )
-from .learner import Hypothesis, LearnStats, LearningError, build_evidence, learn, sep_pred
+from .learner import LearnStats, LearningError, build_evidence, learn, sep_pred
 from .obstable import Defect, ObservationTable
 from .oracle import (
     EquivOracle,
@@ -40,7 +40,7 @@ __all__ = [
     "AutomatonError", "ConcreteMealy", "SMealy", "restrict", "symbolic_equiv",
     "RandomSpec", "make_atgs", "make_builtin", "make_lower_bound", "make_mh",
     "make_worked_example", "random_sma",
-    "Hypothesis", "LearnStats", "LearningError", "build_evidence", "learn", "sep_pred",
+    "LearnStats", "LearningError", "build_evidence", "learn", "sep_pred",
     "Defect", "ObservationTable",
     "EquivOracle", "Oracle", "OracleAssumptionViolation", "OutputOracle",
     "ScriptedOracle", "essential_characters",

@@ -296,9 +296,6 @@ class Algebra:
         self._check(phi)
         return phi.is_false()
 
-    def semantically_equal(self, phi: Predicate, psi: Predicate) -> bool:
-        return phi == psi  # canonical forms make this exact
-
     def witness(self, phi: Predicate):
         """Minimum element of the denotation (lexicographic-minimum corner)."""
         self._check(phi)

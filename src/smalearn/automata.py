@@ -161,6 +161,12 @@ class SMealy:
             raw = data["transitions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise AutomatonError(f"malformed automaton data: {exc}") from exc
+        if n < 1:
+            raise AutomatonError("at least one state required")
+        if not 0 <= initial < n:
+            raise AutomatonError(f"initial state {initial} out of range")
+        if not isinstance(outputs, list) or not isinstance(raw, list):
+            raise AutomatonError("outputs and transitions must be lists")
 
         def renum(q):  # the initial state is always state 0 in memory
             if q == initial:
@@ -170,9 +176,17 @@ class SMealy:
             return q
 
         transitions = []
-        for t in raw:
-            guard = algebra.pred_from_json(t["guard"])
-            transitions.append((renum(int(t["from"])), guard, renum(int(t["to"])), t["out"]))
+        for i, t in enumerate(raw):
+            try:
+                source, target, output = int(t["from"]), int(t["to"]), t["out"]
+                guard = algebra.pred_from_json(t["guard"])
+            except AlgebraError:  # a ValueError too, and already names the bad guard
+                raise
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise AutomatonError(f"malformed transition {i}: {exc!r}") from exc
+            if not 0 <= source < n or not 0 <= target < n:
+                raise AutomatonError(f"transition state out of range: {source}->{target}")
+            transitions.append((renum(source), guard, renum(target), output))
         return SMealy(algebra, n, 0, outputs, transitions)
 
     def save(self, path):

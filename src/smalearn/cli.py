@@ -43,6 +43,9 @@ def _load_target(args):
 
 
 def cmd_learn(args) -> int:
+    if args.reps < 1:
+        _err(f"--reps must be at least 1, got {args.reps}")
+        return 2
     try:
         target, name = _load_target(args)
     except IOError as exc:

@@ -35,13 +35,6 @@ class LearnStats:
     wall_time: float = 0.0
 
 
-@dataclass
-class Hypothesis:
-    automaton: SMealy
-    evidence: ConcreteMealy
-    table: dict  # observation-table snapshot the hypothesis was built from
-
-
 def build_evidence(table: ObservationTable) -> ConcreteMealy:
     """Concrete machine over sigma_e read off a cohesive table."""
     rows = {}
@@ -104,11 +97,12 @@ def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
     stats = LearnStats()
     cap = max_rounds if max_rounds is not None else 10 * (len(table.sigma_e) + 1000)
 
-    def emit(event):
+    def emit(make_event):
+        # events, with their table snapshots, are built only when a trace is kept
         if trace is not None:
-            trace.append(event)
+            trace.append(make_event())
 
-    emit({"event": "init", "table": table.snapshot()})
+    emit(lambda: {"event": "init", "table": table.snapshot()})
     result = None
     while result is None:
         stats.rounds += 1
@@ -116,23 +110,23 @@ def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
             raise LearningError(f"no convergence within {cap} rounds")
         while (defect := table.check()).kind != "cohesive":
             table.repair(defect)
-            emit({"event": "repair", "kind": defect.kind,
-                  "witness": defect.witness, "table": table.snapshot()})
+            emit(lambda: {"event": "repair", "kind": defect.kind,
+                          "witness": defect.witness, "table": table.snapshot()})
         evidence = build_evidence(table)
         hyp = sep_pred(evidence, algebra, partition)
         _check_hypothesis(table, evidence, hyp)
-        emit({"event": "hypothesis", "states": hyp.n_states,
-              "sigma_e": tuple(table.sigma_e)})
+        emit(lambda: {"event": "hypothesis", "states": hyp.n_states,
+                      "sigma_e": tuple(table.sigma_e)})
         answer = oracle.equivalence_query(hyp)
         stats.eq_queries += 1
         if answer is None:
-            result = Hypothesis(hyp, evidence, table.snapshot())
-            emit({"event": "done"})
+            result = hyp
+            emit(lambda: {"event": "done"})
         else:
             cex = tuple(answer)
             stats.max_cex_len = max(stats.max_cex_len, len(cex))
             table.add_counterexample(cex)
-            emit({"event": "counterexample", "word": cex, "table": table.snapshot()})
+            emit(lambda: {"event": "counterexample", "word": cex, "table": table.snapshot()})
 
     stats.sigma_e_size = len(table.sigma_e)
     stats.r_size = len(table.R)
@@ -142,4 +136,4 @@ def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
         stats.output_queries = output.distinct_queries
         stats.total_output_queries = output.total_queries
     stats.wall_time = time.perf_counter() - start
-    return result.automaton, stats
+    return result, stats

@@ -50,32 +50,42 @@ class ObservationTable:
         self.E = []
         self.cells = {}
         self.gamma = []  # output symbols in first-seen order
+        self._columns = [(a0,)]
         self._row_cache = {}
-        self._fill()
+        self._fill_rows(self.words())
 
     # -- storage -----------------------------------------------------------
 
     def columns(self):
-        return [(a,) for a in self.sigma_e] + list(self.E)
+        """Single-character columns, then ``E``; the table's own list, not a copy."""
+        return self._columns
 
     def words(self):
         return self.S + self.R
 
-    def _contains(self, word):
-        return word in self._word_set()
-
     def _word_set(self):
         return set(self.S) | set(self.R)
 
-    def _fill(self):
+    # Every cell of the table is filled after each operation, so a fill only
+    # asks for the cells a new row or a new column brings, in the order a
+    # full rescan of words x columns would ask for them.
+
+    def _ask(self, w, col):
+        out = str(self.ask(w + col))
+        self.cells[(w, col)] = out
+        if out not in self.gamma:
+            self.gamma.append(out)
+
+    def _fill_rows(self, new_words):
+        for w in new_words:
+            for col in self._columns:
+                self._ask(w, col)
+
+    def _add_column(self, col):
+        self._columns = [(a,) for a in self.sigma_e] + self.E
         self._row_cache.clear()
         for w in self.words():
-            for col in self.columns():
-                if (w, col) not in self.cells:
-                    out = str(self.ask(w + col))
-                    self.cells[(w, col)] = out
-                    if out not in self.gamma:
-                        self.gamma.append(out)
+            self._ask(w, col)
 
     def cell(self, word, col):
         return self.cells[(word, col)]
@@ -83,7 +93,7 @@ class ObservationTable:
     def row(self, word):
         key = self._row_cache.get(word)
         if key is None:
-            key = tuple(self.cells[(word, col)] for col in self.columns())
+            key = tuple(self.cells[(word, col)] for col in self._columns)
             self._row_cache[word] = key
         return key
 
@@ -175,35 +185,31 @@ class ObservationTable:
         if column in self.E:
             raise ValueError(f"column {column} already present")
         self.E.append(column)
-        self._fill()
+        self._add_column(column)
 
     def make_evidence_closed(self, defect: Defect):
         s, a = defect.witness
-        word = s + (a,)
-        words = self._word_set()
-        for p in prefixes(word):
-            if p not in words:
-                self.R.append(p)
-                words.add(p)
-        self._fill()
+        self._add_rows(s + (a,))
 
     def make_output_closed(self, defect: Defect):
         _, a = defect.witness
         if a in self.sigma_e:
             raise ValueError(f"{a} already in sigma_e")
         self.sigma_e.append(a)
-        self._fill()
+        self._add_column((a,))
 
     def add_counterexample(self, cex):
         cex = tuple(self.algebra.norm_char(a) for a in cex)
         if not cex:
             raise ValueError("counterexample must be non-empty")
+        self._add_rows(cex)
+
+    def _add_rows(self, word):
+        """Add the missing prefixes of ``word`` to R, shortest first, and fill them."""
         words = self._word_set()
-        for p in prefixes(cex):
-            if p not in words:
-                self.R.append(p)
-                words.add(p)
-        self._fill()
+        new = [p for p in prefixes(word) if p not in words]
+        self.R.extend(new)
+        self._fill_rows(new)
 
     # -- inspection ----------------------------------------------------------
 

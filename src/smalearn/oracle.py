@@ -65,11 +65,16 @@ def check_partition_reconstruction(target: SMealy, chars, partition=None):
 
 
 class OutputOracle:
-    """Answers output queries; counts distinct words and total calls."""
+    """Answers output queries; counts distinct words and total calls.
+
+    Each answered word is cached with the target state it leads to, and a
+    new word is run from the state of its longest answered prefix.  A
+    learner asks ``w·col`` after ``w``, so that costs about ``|col|`` steps.
+    """
 
     def __init__(self, target: SMealy):
         self.target = target
-        self._cache = {}
+        self._cache = {}  # answered word -> (state reached, output)
         self.distinct_queries = 0
         self.total_queries = 0
 
@@ -78,12 +83,24 @@ class OutputOracle:
             raise ValueError("output query needs a non-empty word")
         word = tuple(word)
         self.total_queries += 1
-        out = self._cache.get(word)
-        if out is None:
-            out = self.target.run(word)
-            self._cache[word] = out
+        hit = self._cache.get(word)
+        if hit is None:
+            hit = self._cache[word] = self._run(word)
             self.distinct_queries += 1
-        return out
+        return hit[1]
+
+    def _run(self, word):
+        cache = self._cache
+        q, start = self.target.initial, 0
+        for i in range(len(word) - 1, 0, -1):
+            prefix = cache.get(word[:i])
+            if prefix is not None:
+                q, start = prefix[0], i
+                break
+        step = self.target.step
+        for a in word[start:]:
+            q, out = step(q, a)
+        return q, out
 
 
 class EquivOracle:

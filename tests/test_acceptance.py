@@ -122,6 +122,10 @@ def test_criterion_4_atgs_reproduction():
     assert stats.eq_queries <= 16 + len(essential)
     m = max(stats.max_cex_len, 1)
     assert stats.output_queries <= theorem_output_bound(16, m, len(essential))
+    # behaviour lock: the exact counts of the complete lexmin learn
+    assert (stats.eq_queries, stats.output_queries, stats.total_output_queries) == \
+        (59, 69914, 70108)
+    assert (stats.r_size, stats.sigma_e_size, stats.e_size) == (1015, 61, 7)
     elapsed = time.perf_counter() - started
     assert elapsed < 3600.0
     report(4, f"eq={stats.eq_queries} (reference run: 66), "

@@ -198,3 +198,51 @@ def test_bottom_guard_rejected():
 def test_concrete_requires_totality():
     with pytest.raises(AutomatonError):
         ConcreteMealy((0, 1), 1, 0, [], {(0, 0): (0, "x")})
+
+
+def two_state_data(**changes):
+    data = {
+        "algebra": {"kind": "interval-nat"},
+        "states": 2,
+        "initial": 0,
+        "outputs": ["a", "b"],
+        "transitions": [
+            {"from": 0, "guard": [[[0, None]]], "to": 1, "out": "a"},
+            {"from": 1, "guard": [[[0, None]]], "to": 0, "out": "b"},
+        ],
+    }
+    data.update(changes)
+    return data
+
+
+def assert_one_line_error(data, match):
+    with pytest.raises(AutomatonError, match=match) as info:
+        SMealy.from_json(data)
+    assert "\n" not in str(info.value)
+
+
+def test_json_initial_out_of_range_reported_as_initial():
+    assert_one_line_error(two_state_data(initial=5), r"^initial state 5 out of range$")
+
+
+def test_json_transition_endpoint_out_of_range():
+    data = two_state_data(initial=1)
+    data["transitions"][0]["to"] = 7
+    assert_one_line_error(data, r"^transition state out of range: 0->7$")
+
+
+def test_json_transition_without_output():
+    data = two_state_data()
+    del data["transitions"][1]["out"]
+    assert_one_line_error(data, r"malformed transition 1: .*'out'")
+
+
+def test_json_guard_of_bare_numbers():
+    data = two_state_data()
+    data["transitions"][0]["guard"] = [[1]]
+    assert_one_line_error(data, r"malformed transition 0")
+
+
+@pytest.mark.parametrize("key", ["outputs", "transitions"])
+def test_json_non_list_fields(key):
+    assert_one_line_error(two_state_data(**{key: 5}), r"^outputs and transitions must be lists$")

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from smalearn.automata import SMealy
 from smalearn.bench import make_worked_example
 from smalearn.cli import STATS_COLUMNS, main
@@ -147,3 +149,14 @@ def test_reps_write_multiple_rows(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert [int(r["seed"]) for r in rows] == [7, 8, 9]
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_reps_below_one_rejected(tmp_path, capsys, reps):
+    out = tmp_path / "learned.json"
+    code, stdout, err = run_cli(capsys, "learn", "--bench", "worked-example",
+                                "--reps", reps, "--out", str(out))
+    assert code == 2
+    assert err.strip().splitlines() == [f"smalearn: --reps must be at least 1, got {reps}"]
+    assert stdout == ""
+    assert not out.exists()

@@ -2,7 +2,13 @@ import pytest
 
 from smalearn.algebra import Algebra
 from smalearn.automata import SMealy, symbolic_equiv
-from smalearn.bench import RandomSpec, make_lower_bound, make_worked_example, random_sma
+from smalearn.bench import (
+    RandomSpec,
+    make_lower_bound,
+    make_mh,
+    make_worked_example,
+    random_sma,
+)
 from smalearn.learner import build_evidence, learn, sep_pred
 from smalearn.obstable import ObservationTable
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
@@ -165,3 +171,41 @@ def test_round_cap():
     target = make_worked_example()
     with pytest.raises(LearningError):
         learn(StallingOracle(target), NAT, max_rounds=3)
+
+
+def test_learn_without_trace_takes_no_snapshot(monkeypatch):
+    def refuse(self):
+        raise AssertionError("snapshot taken although no trace was requested")
+
+    monkeypatch.setattr(ObservationTable, "snapshot", refuse)
+    for target in (make_worked_example(), make_lower_bound(3, 3)):
+        learned, _ = learn(Oracle(target, mode="lexmin"), NAT)
+        assert symbolic_equiv(learned, target) is None
+
+
+def assert_table_consistent(table):
+    assert table.columns() == [(a,) for a in table.sigma_e] + table.E
+    for w in table.words():
+        assert table.row(w) == tuple(table.cells[(w, col)] for col in table.columns())
+    assert table.structural_violations() == []
+
+
+@pytest.mark.parametrize("target,mode,seed", [
+    (make_worked_example(), "lexmin", None),
+    (make_lower_bound(3, 3), "lexmin", None),
+    (make_mh(), "random", 3),
+], ids=["worked-example", "lower:3,3", "mh-random"])
+def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
+    changes = []
+    for name in ("repair", "add_counterexample"):
+        original = getattr(ObservationTable, name)
+
+        def checked(self, arg, original=original):
+            original(self, arg)
+            assert_table_consistent(self)
+            changes.append(arg)
+
+        monkeypatch.setattr(ObservationTable, name, checked)
+    learned, stats = learn(Oracle(target, mode=mode, seed=seed), target.algebra)
+    assert symbolic_equiv(learned, target) is None
+    assert len(changes) > stats.eq_queries

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalearn.algebra import Algebra, AlgebraError
 from smalearn.automata import SMealy
-from smalearn.bench import make_lower_bound, make_worked_example
+from smalearn.bench import make_atgs, make_lower_bound, make_mh, make_worked_example
 from smalearn.oracle import (
     EquivOracle,
     Oracle,
@@ -52,6 +54,46 @@ def test_output_query_values_and_counting():
     assert oo.total_queries == 4
     with pytest.raises(ValueError):
         oo.query(())
+
+
+PRODUCT_TARGETS = {"atgs": make_atgs(), "mh": make_mh()}
+PRODUCT_CHARS = {name: essential_characters(t) for name, t in PRODUCT_TARGETS.items()}
+
+
+@st.composite
+def query_plans(draw):
+    """A target and words over its essential characters, many extending earlier ones."""
+    name = draw(st.sampled_from(sorted(PRODUCT_TARGETS)))
+    chars = st.sampled_from(PRODUCT_CHARS[name])
+    suffixes = st.lists(chars, min_size=1, max_size=4).map(tuple)
+    words = []
+    for _ in range(draw(st.integers(1, 25))):
+        base = draw(st.sampled_from(words)) if words and draw(st.booleans()) else ()
+        words.append(base + draw(suffixes))
+    return name, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(query_plans())
+def test_output_oracle_resume_matches_run_and_counts(plan):
+    name, words = plan
+    target = PRODUCT_TARGETS[name]
+    oo = OutputOracle(target)
+    seen = {}
+    for word in words:
+        assert oo.query(word) == target.run(word)
+        seen[word] = seen.get(word, 0) + 1
+        assert (oo.distinct_queries, oo.total_queries) == (len(seen), sum(seen.values()))
+
+    alg = target.algebra
+    bad = tuple(c.min_char() - 1 for c in alg.components)
+    for word in (words[0] + (bad,), (bad,) + words[0]):
+        for _ in range(2):  # a failed word is not cached, so it fails again
+            with pytest.raises(AlgebraError):
+                oo.query(word)
+            assert oo.distinct_queries == len(seen)
+    assert oo.query(words[-1]) == target.run(words[-1])
+    assert oo.distinct_queries == len(seen)
 
 
 def test_essential_characters_worked_example():
