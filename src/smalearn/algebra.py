@@ -18,6 +18,7 @@ encodes an unbounded upper endpoint throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -163,7 +164,7 @@ class Algebra:
             return a
         if not isinstance(a, tuple) or len(a) != self.arity:
             raise AlgebraError(f"expected {self.arity}-tuple, got {a!r}")
-        return tuple(c.norm_char(x) for c, x in zip(self.components, a))
+        return tuple([c.norm_char(x) for c, x in zip(self.components, a)])
 
     def next_above(self, a):
         """Smallest domain value strictly above ``a`` (per axis for products)."""
@@ -243,15 +244,42 @@ class Algebra:
     def denotes(self, phi: Predicate, a) -> bool:
         """True iff ``a`` is in the denotation of ``phi``."""
         self._check(phi)
-        a = self.norm_char(a)
-        if self.kind in INTERVAL_KINDS:
-            return any(lo <= a and (hi is None or a < hi) for lo, hi in phi.ivs)
+        return member(phi, self.norm_char(a))
+
+    def first_match(self, guards, values):
+        """Compile ``guards`` into a lookup ``find(a)`` for normalized characters.
+
+        ``find(a)`` returns ``values[i]`` for the first ``i`` whose guard
+        contains ``a``, or None when no guard does, so overlapping or
+        incomplete guard lists keep first-match semantics.  Interval and
+        product guards become sorted cut lists (nested one level per axis)
+        searched with ``bisect_right``; every cut list starts at the axis
+        minimum and each segment holds the answer for its lower point.
+        Equality guards become a dict of explicit characters plus a default.
+        """
+        for phi in guards:
+            self._check(phi)
         if self.kind == "equality":
-            return (a in phi.chars) != phi.negated
-        for box in phi.boxes:
-            if all(c.denotes(comp, x) for c, comp, x in zip(self.components, box, a)):
-                return True
-        return False
+            chars = set().union(*(phi.chars for phi in guards))
+            explicit = {c: next((v for phi, v in zip(guards, values) if member(phi, c)), None)
+                        for c in chars}
+            default = next((v for phi, v in zip(guards, values) if phi.negated), None)
+            return lambda a: explicit.get(a, default)
+        if self.kind in INTERVAL_KINDS:
+            cuts, vals = _first_match_node(
+                (self,), [(i, (phi,)) for i, phi in enumerate(guards)], values)
+            return lambda a: vals[bisect_right(cuts, a) - 1]
+        table = _first_match_node(
+            self.components, [(i, box) for i, phi in enumerate(guards) for box in phi.boxes],
+            values)
+
+        def find(a):
+            node = table
+            for x in a:
+                cuts, vals = node
+                node = vals[bisect_right(cuts, x) - 1]
+            return node
+        return find
 
     def meet(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
@@ -330,6 +358,8 @@ class Algebra:
 
     @staticmethod
     def from_json(d) -> "Algebra":
+        if not isinstance(d, dict):
+            raise AlgebraError(f"algebra descriptor must be an object, got {d!r}")
         kind = d.get("kind")
         if kind == "interval-nat":
             return Algebra.naturals(bound=d.get("bound"))
@@ -460,7 +490,7 @@ class Algebra:
                     cuts.add(hi)
         entries = []
         for c in sorted(cuts):
-            rest_boxes = [box[1:] for box in phi.boxes if axis0.denotes(box[0], c)]
+            rest_boxes = [box[1:] for box in phi.boxes if member(box[0], c)]
             entries.append((c, rest.from_boxes(rest_boxes) if rest.kind == "product"
                             else rest.union(*(b[0] for b in rest_boxes))))
         return _dl_compress(entries)
@@ -519,8 +549,45 @@ class Algebra:
                 cuts.add(hi)
         entries = []
         for c in sorted(cuts):
-            entries.append((c, rest_pred if axis0.denotes(box[0], c) else rest.bottom()))
+            entries.append((c, rest_pred if member(box[0], c) else rest.bottom()))
         return _dl_compress(entries)
+
+
+def member(phi: Predicate, a) -> bool:
+    """True iff ``a``, already normalized by ``norm_char``, is in ``phi``."""
+    if phi.kind in INTERVAL_KINDS:
+        return any(lo <= a and (hi is None or a < hi) for lo, hi in phi.ivs)
+    if phi.kind == "equality":
+        return (a in phi.chars) != phi.negated
+    return any(all(member(comp, x) for comp, x in zip(box, a)) for box in phi.boxes)
+
+
+def _first_match_node(axes, items, values):
+    """First-match table over ``axes`` for ``(guard index, box)`` items in guard order.
+
+    Each box holds one 1-D predicate per axis.  The cuts are the axis
+    minimum and every endpoint of the items' first components, so within a
+    segment each item either contains every point or none; the segment's
+    entry is the table of the items containing its lower point over the
+    remaining axes, and at the last axis the value of the first such item.
+    """
+    if not axes:
+        return values[items[0][0]] if items else None
+    axis = axes[0]
+    cuts = {axis.min_char()}
+    for _, box in items:
+        for lo, hi in box[0].ivs:
+            cuts.add(lo)
+            if hi is not None:
+                cuts.add(hi)
+    out_cuts, out_vals = [], []
+    for c in sorted(cuts):
+        node = _first_match_node(
+            axes[1:], [(i, box[1:]) for i, box in items if member(box[0], c)], values)
+        if not out_vals or out_vals[-1] != node:
+            out_cuts.append(c)
+            out_vals.append(node)
+    return tuple(out_cuts), tuple(out_vals)
 
 
 # -- 1-D interval helpers ----------------------------------------------------

@@ -86,6 +86,9 @@ class SMealy:
         self._by_state = [[] for _ in range(n_states)]
         for tr in self.transitions:
             self._by_state[tr.source].append(tr)
+        self._find = [algebra.first_match([tr.guard for tr in trs],
+                                          [(tr.target, tr.output) for tr in trs])
+                      for trs in self._by_state]
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -103,11 +106,12 @@ class SMealy:
         return self._by_state[q]
 
     def step(self, q: int, a):
+        """(successor, output) of the first stored transition of ``q`` whose guard holds ``a``."""
         a = self.algebra.norm_char(a)
-        for tr in self._by_state[q]:
-            if self.algebra.denotes(tr.guard, a):
-                return tr.target, tr.output
-        raise AutomatonError(f"no transition from state {q} on {format_char(a)}")
+        hit = self._find[q](a)
+        if hit is None:
+            raise AutomatonError(f"no transition from state {q} on {format_char(a)}")
+        return hit
 
     def run(self, word) -> str:
         if not word:
@@ -155,12 +159,13 @@ class SMealy:
     def from_json(data) -> "SMealy":
         try:
             algebra = Algebra.from_json(data["algebra"])
-            n = int(data["states"])
-            initial = int(data["initial"])
+            n, initial = data["states"], data["initial"]
             outputs = data.get("outputs", [])
             raw = data["transitions"]
         except (KeyError, TypeError, ValueError) as exc:
             raise AutomatonError(f"malformed automaton data: {exc}") from exc
+        n = _state_number(n, "states")
+        initial = _state_number(initial, "initial")
         if n < 1:
             raise AutomatonError("at least one state required")
         if not 0 <= initial < n:
@@ -178,12 +183,14 @@ class SMealy:
         transitions = []
         for i, t in enumerate(raw):
             try:
-                source, target, output = int(t["from"]), int(t["to"]), t["out"]
+                source, target, output = t["from"], t["to"], t["out"]
                 guard = algebra.pred_from_json(t["guard"])
             except AlgebraError:  # a ValueError too, and already names the bad guard
                 raise
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise AutomatonError(f"malformed transition {i}: {exc!r}") from exc
+            source = _state_number(source, f"transition {i} 'from'")
+            target = _state_number(target, f"transition {i} 'to'")
             if not 0 <= source < n or not 0 <= target < n:
                 raise AutomatonError(f"transition state out of range: {source}->{target}")
             transitions.append((renum(source), guard, renum(target), output))
@@ -209,6 +216,13 @@ class SMealy:
             lines.append(f'  q{t.source} -> q{t.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _state_number(v, what):
+    """A state count or state number from a file: a JSON integer, not a boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise AutomatonError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def _char_key(a):
@@ -271,6 +285,21 @@ def restrict(m: SMealy, sigma) -> ConcreteMealy:
         for a in chars:
             delta[(q, a)] = m.step(q, a)
     return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
+
+
+def state_partitions(machine, chars, algebra: Algebra, partition):
+    """Per state, ``chars`` grouped by the (successor, output) they lead to, then partitioned.
+
+    Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
+    pairs over every state/output key (states ascending, outputs in declared
+    order), so ``partition`` sees the same group layout for every state.
+    """
+    keys = [(t, o) for t in range(machine.n_states) for o in machine.outputs]
+    for q in range(machine.n_states):
+        groups = {key: set() for key in keys}
+        for a in chars:
+            groups[machine.step(q, a)].add(a)
+        yield q, zip(keys, partition(algebra, [groups[key] for key in keys]))
 
 
 def symbolic_equiv(m1: SMealy, m2: SMealy):

@@ -30,30 +30,31 @@ def _err(msg):
     print(f"smalearn: {msg}", file=sys.stderr)
 
 
-def _load_target(args):
-    if args.bench:
-        return make_builtin(args.bench), args.bench
+def _load(path):
+    """The machine in the file at ``path``, or None after a one-line diagnostic."""
     try:
-        target = SMealy.load(args.target)
+        return SMealy.load(path)
     except OSError as exc:
-        raise IOError(f"cannot read {args.target}: {exc}") from exc
-    except (json.JSONDecodeError, AutomatonError, AlgebraError) as exc:
-        raise IOError(f"cannot parse {args.target}: {exc}") from exc
-    return target, args.target
+        _err(f"cannot read {path}: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError, AutomatonError, AlgebraError) as exc:
+        _err(f"cannot parse {path}: {exc}")
+    return None
 
 
 def cmd_learn(args) -> int:
     if args.reps < 1:
         _err(f"--reps must be at least 1, got {args.reps}")
         return 2
-    try:
-        target, name = _load_target(args)
-    except IOError as exc:
-        _err(str(exc))
-        return 1
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    if args.bench:
+        try:
+            target, name = make_builtin(args.bench), args.bench
+        except ValueError as exc:
+            _err(str(exc))
+            return 2
+    else:
+        target, name = _load(args.target), args.target
+        if target is None:
+            return 1
 
     violations = target.validate()
     if violations:
@@ -145,16 +146,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    machines = []
-    for path in (args.fileA, args.fileB):
-        try:
-            machines.append(SMealy.load(path))
-        except OSError as exc:
-            _err(f"cannot read {path}: {exc}")
-            return 1
-        except (json.JSONDecodeError, AutomatonError, AlgebraError) as exc:
-            _err(f"cannot parse {path}: {exc}")
-            return 1
+    machines = [_load(path) for path in (args.fileA, args.fileB)]
+    if None in machines:
+        return 1
     for m, path in zip(machines, (args.fileA, args.fileB)):
         violations = m.validate()
         if violations:

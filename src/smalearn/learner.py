@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .algebra import Algebra
-from .automata import ConcreteMealy, SMealy, restrict
+from .automata import ConcreteMealy, SMealy, restrict, state_partitions
 from .obstable import ObservationTable
 from .partition import partitioner_for
 
@@ -56,20 +56,13 @@ def build_evidence(table: ObservationTable) -> ConcreteMealy:
 def sep_pred(evidence: ConcreteMealy, algebra: Algebra, partition=None) -> SMealy:
     """Generalize evidence characters into predicates, one state at a time.
 
-    For each state the alphabet is grouped by (successor, output); the
-    groups are listed for every state/output combination (states ascending,
-    outputs in declared order) so the partitioning function sees the same
-    layout on every call.
+    For each state the alphabet is grouped by (successor, output) and
+    partitioned with the layout ``state_partitions`` fixes.
     """
     partition = partition or partitioner_for(algebra)
-    keys = [(t, o) for t in range(evidence.n_states) for o in evidence.outputs]
     transitions = []
-    for q in range(evidence.n_states):
-        groups = {key: set() for key in keys}
-        for a in evidence.alphabet:
-            groups[evidence.step(q, a)].add(a)
-        preds = partition(algebra, [groups[key] for key in keys])
-        for (target, output), pred in zip(keys, preds):
+    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition):
+        for (target, output), pred in pairs:
             if not pred.is_false():
                 transitions.append((q, pred, target, output))
     return SMealy(algebra, evidence.n_states, evidence.initial,

@@ -16,7 +16,7 @@ import random
 from collections import deque
 
 from .algebra import AlgebraError, INTERVAL_KINDS, flat_boxes
-from .automata import ConcreteMealy, SMealy, restrict, symbolic_equiv
+from .automata import ConcreteMealy, SMealy, restrict, state_partitions, symbolic_equiv
 from .partition import partitioner_for
 
 
@@ -49,14 +49,9 @@ def check_partition_reconstruction(target: SMealy, chars, partition=None):
     """Verify the partitioning function rebuilds every state's partition."""
     alg = target.algebra
     partition = partition or partitioner_for(alg)
-    for q in range(target.n_states):
-        keys = [(t, o) for t in range(target.n_states) for o in target.outputs]
-        groups = {key: set() for key in keys}
-        for a in chars:
-            groups[target.step(q, a)].add(a)
-        preds = partition(alg, [groups[key] for key in keys])
+    for q, pairs in state_partitions(target, chars, alg, partition):
         guards = {(tr.target, tr.output): tr.guard for tr in target.state_transitions(q)}
-        for key, pred in zip(keys, preds):
+        for key, pred in pairs:
             expected = guards.get(key, alg.bottom())
             if pred != expected:
                 raise OracleAssumptionViolation(

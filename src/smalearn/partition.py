@@ -10,7 +10,7 @@ refining sample sets without invalidating predicates it already inferred.
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS
+from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, member
 
 
 class PartitionError(ValueError):
@@ -105,7 +105,7 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
     first_char, first_group = items[0]
     preds[first_group] = algebra.top()
     for a, i in items[1:]:
-        at = next(g for g in range(k) if algebra.denotes(preds[g], a))
+        at = next(g for g in range(k) if member(preds[g], a))
         if at == i:
             continue
         cone = algebra.from_boxes([tuple(ax.interval(c, None) for ax, c in zip(axes, a))])

@@ -1,8 +1,12 @@
 """Shared fixtures for the test-suite: golden tables and random generators."""
 
+import itertools
 import random
 
-from smalearn.algebra import Algebra
+from hypothesis import strategies as st
+
+from smalearn.algebra import INTERVAL_KINDS, Algebra, AlgebraError, flat_boxes
+from smalearn.automata import SMealy
 
 NAT = Algebra.naturals()
 
@@ -123,3 +127,122 @@ def random_product_groups(rng, alg, max_samples=8, coord_top=12):
     if not seen:
         groups[0].add(tuple(axis.min_char() for axis in alg.components))
     return groups
+
+
+# -- hypothesis strategies for guards and machines -----------------------------
+
+# Algebras for generated machines; small endpoint pools make guards share,
+# overlap and miss each other's endpoints often.
+GUARD_ALGEBRAS = {
+    "interval-nat": Algebra.naturals(),
+    "interval-nat-bounded": Algebra.naturals(bound=8),
+    "interval-real": Algebra.reals(minimum=-5.0),
+    "product-2": Algebra.product(Algebra.naturals(), Algebra.reals(minimum=-5.0)),
+    "product-3": Algebra.product(Algebra.naturals(bound=3), Algebra.reals(), Algebra.naturals()),
+    "equality": Algebra.equality(),
+    "equality-carrier": Algebra.equality(carrier=[2, 3, 5, 7, 11]),
+}
+
+
+def axis_pool(axis):
+    """Endpoint pool of a 1-D interval algebra, starting at its minimum."""
+    if axis.kind == "interval-nat":
+        return list(range(12 if axis.bound is None else axis.bound))
+    return [axis.minimum + d for d in (0.0, 2.5, 5.0, 5.5, 8.0, 12.25)]
+
+
+def equality_pool(alg):
+    return sorted(alg.carrier) if alg.carrier is not None else list(range(6))
+
+
+@st.composite
+def axis_unions(draw, axis):
+    """A union of one to three intervals of a 1-D interval algebra."""
+    pool = axis_pool(axis)
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.sampled_from(pool))
+        hi = draw(st.sampled_from([None] + [x for x in pool if x > lo]))
+        parts.append(axis.interval(lo, hi))
+    return axis.union(*parts)
+
+
+def guards(alg):
+    """Non-empty predicates of ``alg``."""
+    if alg.kind in INTERVAL_KINDS:
+        return axis_unions(alg)
+    if alg.kind == "equality":
+        return st.builds(alg.eq_chars, st.sets(st.sampled_from(equality_pool(alg)), max_size=4),
+                         st.booleans()).filter(lambda p: not p.is_false())
+    box = st.tuples(*(axis_unions(axis) for axis in alg.components))
+    return st.lists(box, min_size=1, max_size=3).map(alg.from_boxes)
+
+
+def _disjoint_cover(alg, preds):
+    """Each predicate minus the earlier ones, plus the uncovered rest."""
+    covered, out = alg.bottom(), []
+    for p in preds:
+        p = alg.meet(p, alg.complement(covered))
+        if not p.is_false():
+            out.append(p)
+        covered = alg.join(covered, p)
+    rest = alg.complement(covered)
+    return out + ([] if rest.is_false() else [rest])
+
+
+@st.composite
+def sym_machines(draw, alg):
+    """Symbolic machines over ``alg``: valid ones, and ones with overlaps and gaps."""
+    n = draw(st.integers(1, 3))
+    transitions = []
+    for q in range(n):
+        preds = draw(st.lists(guards(alg), max_size=4))
+        if draw(st.booleans()):
+            preds = _disjoint_cover(alg, preds)
+        for p in preds:
+            transitions.append((q, p, draw(st.integers(0, n - 1)), draw(st.sampled_from("xyz"))))
+    return SMealy(alg, n, 0, [], transitions)
+
+
+def endpoint_grid(alg, preds):
+    """Every endpoint of ``preds`` and its successor, per axis, combined.
+
+    Products give the grid of all per-axis values; the equality algebra gives
+    every explicit character plus characters no predicate names.
+    """
+    if alg.kind == "equality":
+        if alg.carrier is not None:
+            return sorted(alg.carrier)
+        named = set().union(*(p.chars for p in preds))
+        return sorted(named | set(equality_pool(alg)) | {100})
+    axes = alg.components if alg.kind == "product" else (alg,)
+    values = [{axis.min_char()} for axis in axes]
+    for p in preds:
+        for box in flat_boxes(alg, p):
+            for vals, (lo, hi) in zip(values, box):
+                vals.update(x for x in (lo, hi) if x is not None)
+    for axis, vals in zip(axes, values):
+        for x in list(vals):
+            try:
+                vals.add(axis.next_above(x))
+            except AlgebraError:  # the top of a bounded axis, or an endpoint at its bound
+                pass
+    grid = itertools.product(*(sorted(vals) for vals in values))
+    return list(grid) if alg.kind == "product" else [a for (a,) in grid]
+
+
+def domain_chars(alg):
+    """Arbitrary characters of ``alg``'s domain."""
+    if alg.kind == "equality":
+        if alg.carrier is not None:
+            return st.sampled_from(sorted(alg.carrier))
+        return st.integers(0, 20)
+    axes = alg.components if alg.kind == "product" else (alg,)
+    per_axis = []
+    for axis in axes:
+        if axis.kind == "interval-nat":
+            per_axis.append(st.integers(0, 30 if axis.bound is None else axis.bound - 1))
+        else:
+            per_axis.append(st.floats(axis.minimum, 1e6, allow_nan=False))
+    chars = st.tuples(*per_axis)
+    return chars if alg.kind == "product" else chars.map(lambda t: t[0])

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, guards
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra, AlgebraError, flat_boxes
+from smalearn.algebra import Algebra, AlgebraError, flat_boxes, member
 
 NAT = Algebra.naturals()
 REAL = Algebra.reals()
@@ -248,3 +251,15 @@ def test_kind_mismatch_errors():
         NAT.denotes(REAL.top(), 3)
     with pytest.raises(AlgebraError):
         NAT.meet(NAT.top(), EQ.eq_chars({1}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["product-2", "product-3"]), st.data())
+def test_member_agrees_with_denotes_and_flat_boxes(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    p = data.draw(guards(alg))
+    boxes = flat_boxes(alg, p)
+    for a in endpoint_grid(alg, [p]) + data.draw(st.lists(domain_chars(alg), max_size=20)):
+        in_box = any(all(lo <= x and (hi is None or x < hi) for x, (lo, hi) in zip(a, box))
+                     for box in boxes)
+        assert member(p, alg.norm_char(a)) == alg.denotes(p, a) == in_box, a

@@ -1,9 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
+from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, sym_machines
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra
+from smalearn.algebra import Algebra, AlgebraError
 from smalearn.automata import (
     AutomatonError,
     ConcreteMealy,
@@ -11,7 +15,8 @@ from smalearn.automata import (
     restrict,
     symbolic_equiv,
 )
-from smalearn.bench import make_worked_example
+from smalearn.bench import make_builtin, make_worked_example
+from smalearn.oracle import essential_characters
 
 NAT = Algebra.naturals()
 
@@ -246,3 +251,95 @@ def test_json_guard_of_bare_numbers():
 @pytest.mark.parametrize("key", ["outputs", "transitions"])
 def test_json_non_list_fields(key):
     assert_one_line_error(two_state_data(**{key: 5}), r"^outputs and transitions must be lists$")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("states", 2.7), ("states", True), ("states", "2"),
+    ("initial", 0.0), ("initial", False),
+    ("from", 1.5), ("from", True), ("to", 1.5), ("to", None),
+])
+def test_json_state_numbers_must_be_integers(field, value):
+    data = two_state_data()
+    if field in ("from", "to"):
+        data["transitions"][1][field] = value
+    else:
+        data[field] = value
+    assert_one_line_error(data, "must be an integer, got " + re.escape(repr(value)))
+
+
+@pytest.mark.parametrize("descriptor", [
+    5, [], "interval-nat",
+    {"kind": "product", "components": [5]},
+    {"kind": "product", "components": [{"kind": "interval-nat"}, ["interval-real"]]},
+])
+def test_algebra_descriptor_must_be_an_object(descriptor):
+    with pytest.raises(AlgebraError, match=r"^algebra descriptor must be an object"):
+        Algebra.from_json(descriptor)
+    assert_one_line_error(two_state_data(algebra=descriptor), r"must be an object")
+
+
+# -- compiled guards: step against a linear first-match scan ------------------
+
+
+def reference_step(m, q, a):
+    """The first stored transition of ``q`` whose guard denotes ``a``."""
+    hit = next(((tr.target, tr.output) for tr in m.state_transitions(q)
+                if m.algebra.denotes(tr.guard, a)), None)
+    if hit is None:
+        raise AutomatonError(f"no transition from state {q}")
+    return hit
+
+
+def assert_steps_match(m, chars):
+    for q in range(m.n_states):
+        for a in chars:
+            try:
+                expected = reference_step(m, q, a)
+            except AutomatonError:
+                with pytest.raises(AutomatonError, match=f"^no transition from state {q} on "):
+                    m.step(q, a)
+            else:
+                assert m.step(q, a) == expected, (q, a)
+
+
+BUILTINS = {name: make_builtin(name) for name in ("atgs", "mh", "worked-example")}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_step_matches_first_match_scan_on_builtins(name):
+    m = BUILTINS[name]
+    chars = endpoint_grid(m.algebra, [tr.guard for tr in m.transitions])
+    assert set(essential_characters(m)) <= set(chars)
+    assert_steps_match(m, chars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILTINS)), st.data())
+def test_step_matches_first_match_scan_on_builtin_points(name, data):
+    m = BUILTINS[name]
+    assert_steps_match(m, data.draw(st.lists(domain_chars(m.algebra), min_size=1, max_size=20)))
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_step_matches_first_match_scan_on_generated_machines(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    m = data.draw(sym_machines(alg))
+    extra = data.draw(st.lists(domain_chars(alg), max_size=10))
+    assert_steps_match(m, endpoint_grid(alg, [tr.guard for tr in m.transitions]) + extra)
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("interval-nat", -1), ("interval-nat", 2.5), ("interval-nat", True),
+    ("interval-nat-bounded", 8), ("interval-real", -5.5), ("interval-real", float("inf")),
+    ("product-2", (0, -6.0)), ("product-2", (-1, 0.0)), ("product-2", (0,)),
+    ("product-3", (3, 0.0, 0)), ("equality", -1), ("equality-carrier", 4),
+])
+def test_out_of_domain_character_raises_algebra_error(kind, bad):
+    alg = GUARD_ALGEBRAS[kind]
+    m = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "x")])
+    with pytest.raises(AlgebraError):
+        m.step(0, bad)
+    with pytest.raises(AlgebraError):
+        alg.denotes(alg.top(), bad)

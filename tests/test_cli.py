@@ -160,3 +160,45 @@ def test_reps_below_one_rejected(tmp_path, capsys, reps):
     assert err.strip().splitlines() == [f"smalearn: --reps must be at least 1, got {reps}"]
     assert stdout == ""
     assert not out.exists()
+
+
+def machine_json(algebra):
+    return json.dumps({"algebra": algebra, "states": 1, "initial": 0, "outputs": ["a"],
+                       "transitions": [{"from": 0, "guard": [[[0, None]]], "to": 0, "out": "a"}]})
+
+
+BAD_FILES = {
+    "non-utf8": b'\xff\xfe{"states": 1}',
+    "algebra-number": machine_json(5).encode(),
+    "component-number": machine_json({"kind": "product", "components": [5]}).encode(),
+}
+
+
+def learn_or_equiv(command, path, good):
+    if command == "learn":
+        return ["learn", "--target", str(path)]
+    return ["equiv", str(good), str(path)]
+
+
+@pytest.mark.parametrize("command", ["learn", "equiv"])
+@pytest.mark.parametrize("content", sorted(BAD_FILES))
+def test_unparsable_file_is_one_line_exit_1(tmp_path, capsys, command, content):
+    good, path = tmp_path / "good.json", tmp_path / "bad.json"
+    make_worked_example().save(good)
+    path.write_bytes(BAD_FILES[content])
+    code, stdout, err = run_cli(capsys, *learn_or_equiv(command, path, good))
+    assert code == 1
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith(f"smalearn: cannot parse {path}: ")
+
+
+@pytest.mark.parametrize("command", ["learn", "equiv"])
+def test_unreadable_file_is_one_line_exit_1(tmp_path, capsys, command):
+    good, path = tmp_path / "good.json", tmp_path / "missing.json"
+    make_worked_example().save(good)
+    code, stdout, err = run_cli(capsys, *learn_or_equiv(command, path, good))
+    assert code == 1
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith(f"smalearn: cannot read {path}: ")
