@@ -83,12 +83,16 @@ class SMealy:
         trans = [Transition(s, merged[(s, t, o)], t, o) for s, t, o in order]
         trans.sort(key=lambda tr: (tr.source, _char_key(algebra.witness(tr.guard))))
         self.transitions = tuple(trans)
-        self._by_state = [[] for _ in range(n_states)]
+        by_state = {}
         for tr in self.transitions:
-            self._by_state[tr.source].append(tr)
-        self._find = [algebra.first_match([tr.guard for tr in trs],
-                                          [(tr.target, tr.output) for tr in trs])
-                      for trs in self._by_state]
+            by_state.setdefault(tr.source, []).append(tr)
+        # states without transitions share one empty tuple and one empty lookup
+        self._by_state = [()] * n_states
+        self._find = [algebra.first_match([], [])] * n_states
+        for q, trs in by_state.items():
+            self._by_state[q] = tuple(trs)
+            self._find[q] = algebra.first_match([tr.guard for tr in trs],
+                                                [(tr.target, tr.output) for tr in trs])
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -110,7 +114,7 @@ class SMealy:
         a = self.algebra.norm_char(a)
         hit = self._find[q](a)
         if hit is None:
-            raise AutomatonError(f"no transition from state {q} on {format_char(a)}")
+            raise _no_transition(q, a)
         return hit
 
     def run(self, word) -> str:
@@ -225,6 +229,10 @@ def _state_number(v, what):
     return v
 
 
+def _no_transition(q, a):
+    return AutomatonError(f"no transition from state {q} on {format_char(a)}")
+
+
 def _char_key(a):
     return a if isinstance(a, tuple) else (a,)
 
@@ -281,9 +289,12 @@ def restrict(m: SMealy, sigma) -> ConcreteMealy:
     if not chars:
         raise AutomatonError("restriction alphabet must be non-empty")
     delta = {}
-    for q in range(m.n_states):
+    for q, find in enumerate(m._find):  # the characters are normalized already
         for a in chars:
-            delta[(q, a)] = m.step(q, a)
+            hit = find(a)
+            if hit is None:
+                raise _no_transition(q, a)
+            delta[(q, a)] = hit
     return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
 
 

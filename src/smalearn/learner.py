@@ -73,9 +73,16 @@ def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMe
     """Symbolic compatibility: the hypothesis reproduces every table cell."""
     if restrict(hyp, table.sigma_e) != evidence:
         raise LearningError("hypothesis restricted to sigma_e differs from the evidence")
+    step = evidence.step
     for w in table.words():
+        q = evidence.initial
+        for a in w:  # each word is run once; every column continues from its state
+            q, _ = step(q, a)
         for col in table.columns():
-            if evidence.run(w + col) != table.cell(w, col):
+            p = q
+            for a in col:
+                p, out = step(p, a)
+            if out != table.cell(w, col):
                 raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
 
 

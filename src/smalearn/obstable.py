@@ -10,10 +10,29 @@ Priority order is consistency, closedness, evidence-closedness, then
 output-closedness.  Consistency is checked before closedness so that a
 counterexample whose prefixes expose both defects grows the suffix set
 before rows move; this matches the reference learning traces.
+
+The table keeps the indexes its defect search reads, and updates them as it
+changes instead of rebuilding them on every :func:`check`:
+
+* the word set ``S ∪ R``, and ``S ∪ R`` and ``R`` as lists in shortlex
+  order, extended when rows are added (``make_closed`` moves a word from
+  the ``R`` list to ``S``);
+* the columns, in table order and in shortlex order, rebuilt when a column
+  is added;
+* each word's row, cached until a column is added;
+* the set of ``S`` rows, extended by ``make_closed``;
+* the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
+  ``(row(p), a)``, each group in shortlex order with its cached
+  inconsistency witness.  A new row marks only its own group for
+  re-examination.
+
+A new column changes every row, so it drops the ``S``-row set and the
+groups; the next :func:`check` rebuilds them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .algebra import Algebra
@@ -50,8 +69,16 @@ class ObservationTable:
         self.E = []
         self.cells = {}
         self.gamma = []  # output symbols in first-seen order
+        self._words = {(), (a0,)}  # S ∪ R
+        self._sorted_words = [(), (a0,)]  # S ∪ R in shortlex order
+        self._sorted_R = [(a0,)]
         self._columns = [(a0,)]
+        self._sorted_columns = [(a0,)]
         self._row_cache = {}
+        self._s_rows = None  # rows of S; None until the next check after a column
+        self._groups = None  # (row(p), a) -> prefixes p of words p·a, shortlex order
+        self._witnesses = {}  # group -> (sort key, witness), inconsistent groups only
+        self._dirty = set()  # groups to re-examine
         self._fill_rows(self.words())
 
     # -- storage -----------------------------------------------------------
@@ -62,9 +89,6 @@ class ObservationTable:
 
     def words(self):
         return self.S + self.R
-
-    def _word_set(self):
-        return set(self.S) | set(self.R)
 
     # Every cell of the table is filled after each operation, so a fill only
     # asks for the cells a new row or a new column brings, in the order a
@@ -83,7 +107,9 @@ class ObservationTable:
 
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
+        self._sorted_columns = sorted(self._columns, key=shortlex_key)
         self._row_cache.clear()
+        self._s_rows = self._groups = None
         for w in self.words():
             self._ask(w, col)
 
@@ -108,40 +134,49 @@ class ObservationTable:
         return COHESIVE
 
     def _find_inconsistency(self):
-        groups = {}
-        words = self._word_set()
-        for w in sorted(words, key=shortlex_key):
-            if not w:
-                continue
-            prefix, a = w[:-1], w[-1]
-            groups.setdefault((self.row(prefix), a), []).append(prefix)
-        best = None
-        for (_, a), members in groups.items():
-            base = min(members, key=shortlex_key)
-            base_row = self.row(base + (a,))
-            for w2 in sorted(members, key=shortlex_key):
-                if self.row(w2 + (a,)) == base_row:
-                    continue
-                e = next(col for col in sorted(self.columns(), key=shortlex_key)
-                         if self.cells[(base + (a,), col)] != self.cells[(w2 + (a,), col)])
-                cand = (base, w2, a, e)
-                key = (shortlex_key(base), shortlex_key(w2), shortlex_key((a,)), shortlex_key(e))
-                if best is None or key < best[0]:
-                    best = (key, cand)
-                break
-        if best is None:
+        """The shortlex-least witness over all groups of prefixes sharing a row and a character."""
+        if self._groups is None:
+            self._groups = {}
+            for w in self._sorted_words[1:]:  # every word but the empty one
+                self._groups.setdefault((self.row(w[:-1]), w[-1]), []).append(w[:-1])
+            self._witnesses = {}
+            self._dirty = set(self._groups)
+        for group in self._dirty:
+            found = self._group_witness(group)
+            if found is None:
+                self._witnesses.pop(group, None)
+            else:
+                self._witnesses[group] = found
+        self._dirty.clear()
+        if not self._witnesses:
             return None
-        return Defect("not_consistent", best[1])
+        return Defect("not_consistent", min(self._witnesses.values())[1])
+
+    def _group_witness(self, group):
+        """``(sort key, witness)`` of the group's first prefix whose successor row
+        differs from its base's, or None when the group is consistent."""
+        (_, a), members = group, self._groups[group]
+        base = members[0]
+        base_row = self.row(base + (a,))
+        for w2 in members[1:]:
+            if self.row(w2 + (a,)) == base_row:
+                continue
+            e = next(col for col in self._sorted_columns
+                     if self.cells[(base + (a,), col)] != self.cells[(w2 + (a,), col)])
+            key = (shortlex_key(base), shortlex_key(w2), shortlex_key((a,)), shortlex_key(e))
+            return key, (base, w2, a, e)
+        return None
 
     def _find_unclosed(self):
-        s_rows = {self.row(s) for s in self.S}
-        for r in sorted(self.R, key=shortlex_key):
-            if self.row(r) not in s_rows:
+        if self._s_rows is None:
+            self._s_rows = {self.row(s) for s in self.S}
+        for r in self._sorted_R:
+            if self.row(r) not in self._s_rows:
                 return Defect("not_closed", (r,))
         return None
 
     def _find_evidence_gap(self):
-        words = self._word_set()
+        words = self._words
         best = None
         for s in self.S:
             for a in self.sigma_e:
@@ -154,7 +189,7 @@ class ObservationTable:
 
     def _find_output_gap(self):
         known = set(self.sigma_e)
-        for w in sorted(self._word_set(), key=shortlex_key):
+        for w in self._sorted_words:
             if w and w[-1] not in known:
                 return Defect("not_output_closed", (w[:-1], w[-1]))
         return None
@@ -174,10 +209,14 @@ class ObservationTable:
 
     def make_closed(self, defect: Defect):
         (r,) = defect.witness
-        if r not in self.R:
+        i = bisect_left(self._sorted_R, shortlex_key(r), key=shortlex_key)
+        if i == len(self._sorted_R) or self._sorted_R[i] != r:
             raise ValueError(f"{r} is not an R-row")
+        del self._sorted_R[i]
         self.R.remove(r)
         self.S.append(r)
+        if self._s_rows is not None:
+            self._s_rows.add(self.row(r))
 
     def make_consistent(self, defect: Defect):
         _, _, a, e = defect.witness
@@ -205,18 +244,25 @@ class ObservationTable:
         self._add_rows(cex)
 
     def _add_rows(self, word):
-        """Add the missing prefixes of ``word`` to R, shortest first, and fill them."""
-        words = self._word_set()
-        new = [p for p in prefixes(word) if p not in words]
+        """Add the missing prefixes of ``word`` to R, shortest first, fill and index them."""
+        new = [p for p in prefixes(word) if p not in self._words]
         self.R.extend(new)
         self._fill_rows(new)
+        for w in new:
+            self._words.add(w)
+            insort(self._sorted_words, w, key=shortlex_key)
+            insort(self._sorted_R, w, key=shortlex_key)
+            if self._groups is not None:
+                group = (self.row(w[:-1]), w[-1])
+                insort(self._groups.setdefault(group, []), w[:-1], key=shortlex_key)
+                self._dirty.add(group)
 
     # -- inspection ----------------------------------------------------------
 
     def structural_violations(self) -> list[str]:
         """Structural-invariant breaches; empty when the table is well formed."""
         out = []
-        words = self._word_set()
+        words = set(self.S) | set(self.R)
         if () not in self.S:
             out.append("empty word missing from S")
         if set(self.S) & set(self.R):

@@ -6,7 +6,8 @@ import random
 from hypothesis import strategies as st
 
 from smalearn.algebra import INTERVAL_KINDS, Algebra, AlgebraError, flat_boxes
-from smalearn.automata import SMealy
+from smalearn.automata import SMealy, shortlex_key
+from smalearn.obstable import COHESIVE, Defect
 
 NAT = Algebra.naturals()
 
@@ -246,3 +247,89 @@ def domain_chars(alg):
             per_axis.append(st.floats(axis.minimum, 1e6, allow_nan=False))
     chars = st.tuples(*per_axis)
     return chars if alg.kind == "product" else chars.map(lambda t: t[0])
+
+
+# -- reference defect search -------------------------------------------------
+
+
+class RescanTable:
+    """The defect search of an observation table as a full rescan, for differential tests.
+
+    The four finders are the table's finders as they were before the table
+    kept indexes, copied verbatim; rows, columns and the word set are
+    recomputed from ``S``, ``R``, ``sigma_e``, ``E`` and ``cells`` on every
+    call, so no index or cache of the table is read.
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.S, self.R, self.sigma_e, self.cells = table.S, table.R, table.sigma_e, table.cells
+
+    def columns(self):
+        return [(a,) for a in self.sigma_e] + self.table.E
+
+    def row(self, word):
+        return tuple(self.cells[(word, col)] for col in self.columns())
+
+    def _word_set(self):
+        return set(self.S) | set(self.R)
+
+    def check(self) -> Defect:
+        for finder in (self._find_inconsistency, self._find_unclosed,
+                       self._find_evidence_gap, self._find_output_gap):
+            defect = finder()
+            if defect is not None:
+                return defect
+        return COHESIVE
+
+    def _find_inconsistency(self):
+        groups = {}
+        words = self._word_set()
+        for w in sorted(words, key=shortlex_key):
+            if not w:
+                continue
+            prefix, a = w[:-1], w[-1]
+            groups.setdefault((self.row(prefix), a), []).append(prefix)
+        best = None
+        for (_, a), members in groups.items():
+            base = min(members, key=shortlex_key)
+            base_row = self.row(base + (a,))
+            for w2 in sorted(members, key=shortlex_key):
+                if self.row(w2 + (a,)) == base_row:
+                    continue
+                e = next(col for col in sorted(self.columns(), key=shortlex_key)
+                         if self.cells[(base + (a,), col)] != self.cells[(w2 + (a,), col)])
+                cand = (base, w2, a, e)
+                key = (shortlex_key(base), shortlex_key(w2), shortlex_key((a,)), shortlex_key(e))
+                if best is None or key < best[0]:
+                    best = (key, cand)
+                break
+        if best is None:
+            return None
+        return Defect("not_consistent", best[1])
+
+    def _find_unclosed(self):
+        s_rows = {self.row(s) for s in self.S}
+        for r in sorted(self.R, key=shortlex_key):
+            if self.row(r) not in s_rows:
+                return Defect("not_closed", (r,))
+        return None
+
+    def _find_evidence_gap(self):
+        words = self._word_set()
+        best = None
+        for s in self.S:
+            for a in self.sigma_e:
+                w = s + (a,)
+                if w not in words and (best is None or shortlex_key(w) < shortlex_key(best[0])):
+                    best = (w, s, a)
+        if best is None:
+            return None
+        return Defect("not_evidence_closed", (best[1], best[2]))
+
+    def _find_output_gap(self):
+        known = set(self.sigma_e)
+        for w in sorted(self._word_set(), key=shortlex_key):
+            if w and w[-1] not in known:
+                return Defect("not_output_closed", (w[:-1], w[-1]))
+        return None

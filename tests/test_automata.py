@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, sym_machines
@@ -107,6 +108,12 @@ def test_restrict_single_char():
     assert conc.run((7, 7)) == "z"
     with pytest.raises(AutomatonError):
         restrict(m, set())
+
+
+def test_restrict_reports_missing_transition():
+    m = one_state((NAT.interval(0, 10), "x"))
+    with pytest.raises(AutomatonError, match=r"^no transition from state 0 on 12$"):
+        restrict(m, {3, 12})
 
 
 def test_run_matches_restriction_on_samples(target):
@@ -342,4 +349,33 @@ def test_out_of_domain_character_raises_algebra_error(kind, bad):
     with pytest.raises(AlgebraError):
         m.step(0, bad)
     with pytest.raises(AlgebraError):
+        restrict(m, [bad])
+    with pytest.raises(AlgebraError):
         alg.denotes(alg.top(), bad)
+
+
+def unused_states_data(states):
+    top = NAT.pred_to_json(NAT.top())
+    return {"algebra": NAT.to_json(), "states": states, "initial": 0, "outputs": ["o"],
+            "transitions": [{"from": 0, "guard": top, "to": 0, "out": "o"}]}
+
+
+def test_states_without_transitions_cost_no_table_each():
+    tracemalloc.start()
+    try:
+        m = SMealy.from_json(unused_states_data(100_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, f"loading took {peak / 2 ** 20:.1f} MiB"
+    assert m.n_states == 100_000
+    assert m.step(0, 5) == (0, "o")
+    assert m.state_transitions(99_999) == ()
+    with pytest.raises(AutomatonError, match=r"^no transition from state 99999 on 5$"):
+        m.step(99_999, 5)
+
+
+def test_states_without_transitions_reported_incomplete():
+    m = SMealy.from_json(unused_states_data(3))
+    assert [(v.state, v.kind, v.detail) for v in m.validate()] == \
+        [(1, "incomplete", (NAT.top(),)), (2, "incomplete", (NAT.top(),))]

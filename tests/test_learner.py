@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalearn.algebra import Algebra
-from smalearn.automata import SMealy, symbolic_equiv
+from smalearn.automata import SMealy, shortlex_key, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
     make_lower_bound,
@@ -16,7 +18,13 @@ from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
 NAT = Algebra.naturals()
 
 
-from helpers import GOLDEN_COUNTEREXAMPLES, GOLDEN_REPAIRS, GOLDEN_TABLES, as_snapshot
+from helpers import (
+    GOLDEN_COUNTEREXAMPLES,
+    GOLDEN_REPAIRS,
+    GOLDEN_TABLES,
+    RescanTable,
+    as_snapshot,
+)
 
 
 def test_golden_trace_step_for_step():
@@ -188,13 +196,30 @@ def assert_table_consistent(table):
     for w in table.words():
         assert table.row(w) == tuple(table.cells[(w, col)] for col in table.columns())
     assert table.structural_violations() == []
+    words = set(table.S) | set(table.R)
+    assert table._words == words
+    assert table._sorted_words == sorted(words, key=shortlex_key)
+    assert table._sorted_R == sorted(table.R, key=shortlex_key)
+    assert table._sorted_columns == sorted(table.columns(), key=shortlex_key)
+    if table._s_rows is not None:
+        assert table._s_rows == {table.row(s) for s in table.S}
+    if table._groups is not None:
+        groups = {}
+        for w in sorted(words - {()}, key=shortlex_key):
+            groups.setdefault((table.row(w[:-1]), w[-1]), []).append(w[:-1])
+        assert table._groups == groups
+
+
+def assert_check_matches_rescan(table):
+    assert table.check() == RescanTable(table).check()
 
 
 @pytest.mark.parametrize("target,mode,seed", [
     (make_worked_example(), "lexmin", None),
     (make_lower_bound(3, 3), "lexmin", None),
     (make_mh(), "random", 3),
-], ids=["worked-example", "lower:3,3", "mh-random"])
+    (random_sma(RandomSpec(n=20, k=10, seed=5)), "random", 11),
+], ids=["worked-example", "lower:3,3", "mh-random", "nat-20-random"])
 def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
     changes = []
     for name in ("repair", "add_counterexample"):
@@ -203,9 +228,36 @@ def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
         def checked(self, arg, original=original):
             original(self, arg)
             assert_table_consistent(self)
+            assert_check_matches_rescan(self)
             changes.append(arg)
 
         monkeypatch.setattr(ObservationTable, name, checked)
     learned, stats = learn(Oracle(target, mode=mode, seed=seed), target.algebra)
     assert symbolic_equiv(learned, target) is None
     assert len(changes) > stats.eq_queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 5), seed=st.integers(0, 10 ** 6),
+       steps=st.lists(st.tuples(st.lists(st.integers(0, 12), min_size=1, max_size=5),
+                                st.integers(0, 12)),
+                      min_size=1, max_size=6))
+def test_defect_search_matches_rescan(n, k, seed, steps):
+    """Counterexamples added to tables in any state, each followed by up to ``repairs`` repairs.
+
+    With no repair between two counterexamples, the second one arrives
+    before any ``check`` has re-examined what the first one changed.
+    """
+    target = random_sma(RandomSpec(n=n, k=k, seed=seed, boundary_top=12))
+    table = ObservationTable(NAT, target.run, 0)
+    for cex, repairs in steps:
+        table.add_counterexample(cex)
+        assert_table_consistent(table)
+        for _ in range(repairs):
+            defect = table.check()
+            assert defect == RescanTable(table).check()
+            if defect.kind == "cohesive":
+                break
+            table.repair(defect)
+            assert_table_consistent(table)
+    assert_check_matches_rescan(table)

@@ -1,8 +1,10 @@
 import pytest
+from helpers import RescanTable
 
 from smalearn.algebra import Algebra
+from smalearn.automata import SMealy
 from smalearn.bench import make_worked_example
-from smalearn.obstable import ObservationTable
+from smalearn.obstable import Defect, ObservationTable
 
 NAT = Algebra.naturals()
 
@@ -73,6 +75,15 @@ def test_make_closed_moves_shortlex_smallest():
     assert (0,) not in t.R
 
 
+@pytest.mark.parametrize("word", [(), (20,), (0, 0, 5)], ids=["in-S", "not-in-table", "longest"])
+def test_make_closed_rejects_words_outside_r(word):
+    t = make_table(0)
+    t.add_counterexample((0, 0, 0))
+    with pytest.raises(ValueError, match="is not an R-row"):
+        t.make_closed(Defect("not_closed", (word,)))
+    assert t.S == [()] and t.R == [(0,), (0, 0), (0, 0, 0)]
+
+
 def test_counterexample_prefixes_inserted_shortest_first():
     t = make_table(0)
     t.add_counterexample((0, 0, 0))
@@ -97,6 +108,19 @@ def test_evidence_closure_adds_missing_word():
     t.repair(d)
     assert (0, 20) in t.R
     assert t.structural_violations() == []
+
+
+def test_new_row_moves_cached_inconsistency_witness():
+    # outputs x, x, y in turn whatever the input, so rows repeat with period 3
+    top = NAT.top()
+    counter = SMealy(NAT, 3, 0, [], [(0, top, 1, "x"), (1, top, 2, "x"), (2, top, 0, "y")])
+    t = ObservationTable(NAT, counter.run, 0)
+    t.add_counterexample((3, 3, 3, 3, 0))
+    assert t.check() == Defect("not_consistent", ((), (3,), 3, (0,)))
+    # (0,) joins the group of (), 0 ahead of (3, 3, 3, 3), whose witness was cached
+    t.add_counterexample((0, 0))
+    assert t.check() == Defect("not_consistent", ((), (0,), 0, (0,)))
+    assert t.check() == RescanTable(t).check()
 
 
 def test_repair_requires_matching_defect():
