@@ -18,8 +18,10 @@ encodes an unbounded upper endpoint throughout.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class AlgebraError(ValueError):
@@ -362,9 +364,20 @@ class Algebra:
             raise AlgebraError(f"algebra descriptor must be an object, got {d!r}")
         kind = d.get("kind")
         if kind == "interval-nat":
-            return Algebra.naturals(bound=d.get("bound"))
+            bound = d.get("bound")
+            if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)
+                                      or bound < 1):
+                raise AlgebraError(
+                    f"algebra descriptor 'bound' must be null or an integer >= 1, got {bound!r}")
+            return Algebra.naturals(bound=bound)
         if kind == "interval-real":
-            return Algebra.reals(minimum=d.get("min", 0.0))
+            minimum = d.get("min", 0.0)
+            # the range test also rejects NaN, and integers that overflow a float
+            if (isinstance(minimum, bool) or not isinstance(minimum, (int, float))
+                    or not -sys.float_info.max <= minimum <= sys.float_info.max):
+                raise AlgebraError(
+                    f"algebra descriptor 'min' must be a finite number, got {minimum!r}")
+            return Algebra.reals(minimum=minimum)
         if kind == "equality":
             return Algebra.equality(carrier=d.get("carrier"))
         if kind == "product":
@@ -473,15 +486,26 @@ class Algebra:
     # Product predicates are manipulated through a decision-list view: an
     # ascending list of (cut, rest) pairs covering [min, inf), where rest is
     # the canonical predicate over the remaining axes (1-D at the base).
+    # Each predicate keeps its view, with the algebra that computed it, in its
+    # instance ``__dict__``: the view is computed at most once per algebra,
+    # meet/join/complement results come with the view they were built from,
+    # and ``==``, ``hash`` and ``repr`` ignore it.  The view is keyed by the
+    # algebra because its cuts start at the first axis's minimum, and kept on
+    # the instance rather than in a shared cache so that it goes with the
+    # predicate.
 
+    @cached_property
     def _rest_algebra(self) -> "Algebra":
         if self.arity == 2:
             return self.components[1]
         return Algebra(kind="product", components=self.components[1:])
 
     def _pred_to_dl(self, phi: Predicate):
+        memo = phi.__dict__.get("_dl")
+        if memo is not None and (memo[0] is self or memo[0] == self):
+            return memo[1]
         axis0 = self.components[0]
-        rest = self._rest_algebra()
+        rest = self._rest_algebra
         cuts = {axis0.min_char()}
         for box in phi.boxes:
             for lo, hi in box[0].ivs:
@@ -493,7 +517,9 @@ class Algebra:
             rest_boxes = [box[1:] for box in phi.boxes if member(box[0], c)]
             entries.append((c, rest.from_boxes(rest_boxes) if rest.kind == "product"
                             else rest.union(*(b[0] for b in rest_boxes))))
-        return _dl_compress(entries)
+        dl = _dl_compress(entries)
+        object.__setattr__(phi, "_dl", (self, dl))
+        return dl
 
     def _dl_to_pred(self, dl) -> Predicate:
         axis0 = self.components[0]
@@ -516,7 +542,9 @@ class Algebra:
                     boxes.append((comp0,) + sub)
             else:
                 boxes.append((comp0, rest))
-        return Predicate(kind="product", boxes=tuple(boxes))
+        phi = Predicate(kind="product", boxes=tuple(boxes))
+        object.__setattr__(phi, "_dl", (self, dl))
+        return phi
 
     def _norm_boxes(self, raw_boxes) -> Predicate:
         if self.arity == 1:
@@ -537,7 +565,7 @@ class Algebra:
 
     def _box_to_dl(self, box):
         axis0 = self.components[0]
-        rest = self._rest_algebra()
+        rest = self._rest_algebra
         if rest.kind == "product":
             rest_pred = rest._norm_boxes((tuple(box[1:]),))
         else:
@@ -639,7 +667,7 @@ def _dl_compress(entries):
 
 
 def _dl_op(alg: Algebra, dl1, dl2, op: str):
-    rest_alg = alg._rest_algebra()
+    rest_alg = alg._rest_algebra
     cuts = sorted({c for c, _ in dl1} | {c for c, _ in dl2})
     entries = []
     for c in cuts:
@@ -650,7 +678,7 @@ def _dl_op(alg: Algebra, dl1, dl2, op: str):
 
 
 def _dl_complement(alg: Algebra, dl):
-    rest_alg = alg._rest_algebra()
+    rest_alg = alg._rest_algebra
     return _dl_compress([(c, rest_alg.complement(r)) for c, r in dl])
 
 

@@ -19,7 +19,8 @@ changes instead of rebuilding them on every :func:`check`:
   the ``R`` list to ``S``);
 * the columns, in table order and in shortlex order, rebuilt when a column
   is added;
-* each word's row, cached until a column is added;
+* each word's row, cached and extended by the new cell when a column is
+  added;
 * the set of ``S`` rows, extended by ``make_closed``;
 * the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
   ``(row(p), a)``, each group in shortlex order with its cached
@@ -108,10 +109,12 @@ class ObservationTable:
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
         self._sorted_columns = sorted(self._columns, key=shortlex_key)
-        self._row_cache.clear()
         self._s_rows = self._groups = None
         for w in self.words():
             self._ask(w, col)
+        i = self._columns.index(col)  # a new sigma_e column goes in before E
+        for w, key in self._row_cache.items():
+            self._row_cache[w] = key[:i] + (self.cells[(w, col)],) + key[i:]
 
     def cell(self, word, col):
         return self.cells[(word, col)]

@@ -6,7 +6,7 @@ from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, guards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra, AlgebraError, flat_boxes, member
+from smalearn.algebra import Algebra, AlgebraError, Predicate, flat_boxes, member
 
 NAT = Algebra.naturals()
 REAL = Algebra.reals()
@@ -263,3 +263,51 @@ def test_member_agrees_with_denotes_and_flat_boxes(kind, data):
         in_box = any(all(lo <= x and (hi is None or x < hi) for x, (lo, hi) in zip(a, box))
                      for box in boxes)
         assert member(p, alg.norm_char(a)) == alg.denotes(p, a) == in_box, a
+
+
+# -- product predicates and their kept decision-list views ---------------------
+
+
+def memo_free(p):
+    """A copy of product predicate ``p`` that has computed no view yet."""
+    return Predicate(kind="product", boxes=p.boxes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["product-2", "product-3"]), st.data())
+def test_product_boolean_laws_and_kept_views(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    p, q = data.draw(guards(alg)), data.draw(guards(alg))
+    results = {"meet": alg.meet(p, q), "join": alg.join(p, q), "complement": alg.complement(p)}
+    # the arguments now hold their views; an operation on copies without them agrees
+    assert results == {"meet": alg.meet(memo_free(p), memo_free(q)),
+                       "join": alg.join(memo_free(p), memo_free(q)),
+                       "complement": alg.complement(memo_free(p))}
+    for a in endpoint_grid(alg, [p, q]):
+        in_p, in_q = member(p, a), member(q, a)
+        assert member(results["meet"], a) == (in_p and in_q), a
+        assert member(results["join"], a) == (in_p or in_q), a
+        assert member(results["complement"], a) == (not in_p), a
+    for r in (p, q, *results.values()):
+        copy = memo_free(r)
+        assert r == copy and hash(r) == hash(copy) and repr(r) == repr(copy)
+        dl = alg._pred_to_dl(r)
+        assert alg._pred_to_dl(copy) == dl  # the kept view is the one a fresh pass computes
+        assert alg._dl_to_pred(dl) == r
+        assert alg._pred_to_dl(memo_free(alg._dl_to_pred(dl))) == dl
+
+
+def test_kept_view_is_recomputed_under_another_algebra():
+    at_0 = Algebra.product(Algebra.reals(minimum=0), Algebra.naturals())
+    at_minus_5 = Algebra.product(Algebra.reals(minimum=-5), Algebra.naturals())
+    p = at_0.box((1.0, 2.0), (0, 3))  # built with its view under at_0
+    q = at_0.box((3.0, None), (2, None))
+    assert at_0.join(p, q) == at_0.join(memo_free(p), memo_free(q))
+    c = at_minus_5.complement(p)
+    assert at_minus_5.denotes(c, (-3.0, 0))
+    assert c == at_minus_5.complement(memo_free(p))
+    assert at_minus_5.join(p, q) == at_minus_5.join(memo_free(p), memo_free(q))
+    assert at_minus_5.meet(c, q) == at_minus_5.meet(memo_free(c), memo_free(q))
+    # and back: the view kept under at_minus_5 is not reused under at_0
+    assert at_0.complement(p) == at_0.complement(memo_free(p))
+    assert at_0.denotes(at_0.complement(p), (0.0, 0))

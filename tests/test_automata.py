@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -274,15 +275,43 @@ def test_json_state_numbers_must_be_integers(field, value):
     assert_one_line_error(data, "must be an integer, got " + re.escape(repr(value)))
 
 
-@pytest.mark.parametrize("descriptor", [
-    5, [], "interval-nat",
-    {"kind": "product", "components": [5]},
-    {"kind": "product", "components": [{"kind": "interval-nat"}, ["interval-real"]]},
+NOT_AN_OBJECT = "must be an object"
+BAD_MIN = "'min' must be a finite number"
+BAD_BOUND = "'bound' must be null or an integer >= 1"
+
+
+@pytest.mark.parametrize("descriptor,message", [
+    pytest.param(5, NOT_AN_OBJECT, id="5"),
+    pytest.param([], NOT_AN_OBJECT, id="descriptor1"),
+    pytest.param("interval-nat", NOT_AN_OBJECT, id="interval-nat"),
+    pytest.param({"kind": "product", "components": [5]}, NOT_AN_OBJECT, id="descriptor3"),
+    pytest.param({"kind": "product", "components": [{"kind": "interval-nat"}, ["interval-real"]]},
+                 NOT_AN_OBJECT, id="descriptor4"),
+    pytest.param({"kind": "interval-real", "min": math.nan}, BAD_MIN, id="min-nan"),
+    pytest.param({"kind": "interval-real", "min": -math.inf}, BAD_MIN, id="min-minus-inf"),
+    pytest.param({"kind": "interval-real", "min": math.inf}, BAD_MIN, id="min-inf"),
+    pytest.param({"kind": "interval-real", "min": 10**400}, BAD_MIN, id="min-overflows-float"),
+    pytest.param({"kind": "interval-real", "min": True}, BAD_MIN, id="min-bool"),
+    pytest.param({"kind": "interval-real", "min": "0"}, BAD_MIN, id="min-string"),
+    pytest.param({"kind": "interval-real", "min": None}, BAD_MIN, id="min-null"),
+    pytest.param({"kind": "interval-nat", "bound": 2.5}, BAD_BOUND, id="bound-fraction"),
+    pytest.param({"kind": "interval-nat", "bound": 2.0}, BAD_BOUND, id="bound-float"),
+    pytest.param({"kind": "interval-nat", "bound": True}, BAD_BOUND, id="bound-bool"),
+    pytest.param({"kind": "interval-nat", "bound": "x"}, BAD_BOUND, id="bound-string"),
+    pytest.param({"kind": "interval-nat", "bound": 0}, BAD_BOUND, id="bound-zero"),
+    pytest.param({"kind": "product", "components": [{"kind": "interval-nat", "bound": -1}]},
+                 BAD_BOUND, id="bound-negative-in-product"),
 ])
-def test_algebra_descriptor_must_be_an_object(descriptor):
-    with pytest.raises(AlgebraError, match=r"^algebra descriptor must be an object"):
+def test_algebra_descriptor_must_be_an_object(descriptor, message):
+    with pytest.raises(AlgebraError, match="^algebra descriptor " + re.escape(message)):
         Algebra.from_json(descriptor)
-    assert_one_line_error(two_state_data(algebra=descriptor), r"must be an object")
+    assert_one_line_error(two_state_data(algebra=descriptor), re.escape(message))
+
+
+def test_algebra_descriptor_accepts_integer_min_and_bound():
+    assert Algebra.from_json({"kind": "interval-real", "min": -5}) == Algebra.reals(-5.0)
+    assert Algebra.from_json({"kind": "interval-nat", "bound": 1}) == Algebra.naturals(bound=1)
+    assert Algebra.from_json({"kind": "interval-nat", "bound": None}) == Algebra.naturals()
 
 
 # -- compiled guards: step against a linear first-match scan ------------------
