@@ -150,6 +150,8 @@ class Algebra:
                 raise AlgebraError(f"natural out of domain: {a!r}")
             return a
         if self.kind == "interval-real":
+            if isinstance(a, bool) or not isinstance(a, (int, float)):
+                raise AlgebraError(f"not a real: {a!r}")
             a = float(a)
             if not math.isfinite(a):
                 raise AlgebraError(f"real characters must be finite: {a!r}")
@@ -389,6 +391,8 @@ class Algebra:
         if isinstance(v, dict) and set(v) == {"na"}:
             return self.next_above(self.char_from_json(v["na"]))
         if self.kind == "product":
+            if not isinstance(v, (list, tuple)) or len(v) != self.arity:
+                raise AlgebraError(f"expected a list of {self.arity} components, got {v!r}")
             return tuple(c.char_from_json(x) for c, x in zip(self.components, v))
         return self.norm_char(v)
 

@@ -10,7 +10,7 @@ and JSON / DOT serialization.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraError, Predicate, format_char, format_predicate
@@ -298,19 +298,53 @@ def restrict(m: SMealy, sigma) -> ConcreteMealy:
     return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
 
 
-def state_partitions(machine, chars, algebra: Algebra, partition):
+_EMPTY = frozenset()
+
+
+def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
     """Per state, ``chars`` grouped by the (successor, output) they lead to, then partitioned.
 
     Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
     pairs over every state/output key (states ascending, outputs in declared
     order), so ``partition`` sees the same group layout for every state.
+
+    ``memo`` maps a state to its groups and predicates, both keyed by
+    (successor, output), from an earlier call on a machine whose states and
+    keys mean the same.  A state keeps its predicates while every earlier
+    sample stays in its key's group and every new one lies inside its key's
+    predicate (bottom for a key new to the layout), which a stable
+    ``partition`` would reproduce; otherwise it is partitioned again.
     """
     keys = [(t, o) for t in range(machine.n_states) for o in machine.outputs]
+    memo = {} if memo is None else memo
+    bottom = algebra.bottom()
     for q in range(machine.n_states):
-        groups = {key: set() for key in keys}
+        groups = defaultdict(set)
         for a in chars:
             groups[machine.step(q, a)].add(a)
-        yield q, zip(keys, partition(algebra, [groups[key] for key in keys]))
+        old = memo.get(q)
+        if old is not None and _grows_inside(algebra, *old, groups):
+            preds = old[1]
+            if len(preds) < len(keys):  # new states or outputs add empty groups
+                preds = {key: preds.get(key, bottom) for key in keys}
+        else:
+            preds = dict(zip(keys, partition(algebra, [groups.get(key, _EMPTY) for key in keys])))
+        memo[q] = (groups, preds)
+        yield q, preds.items()
+
+
+def _grows_inside(algebra: Algebra, old_groups, old_preds, groups) -> bool:
+    """Whether ``groups`` only add samples, each inside its key's predicate in ``old_preds``."""
+    for key, before in old_groups.items():
+        if not before <= groups.get(key, _EMPTY):
+            return False
+    for key, group in groups.items():
+        added = group - old_groups.get(key, _EMPTY)
+        if added:
+            pred = old_preds.get(key)
+            if pred is None or not all(algebra.denotes(pred, a) for a in added):
+                return False
+    return True
 
 
 def symbolic_equiv(m1: SMealy, m2: SMealy):

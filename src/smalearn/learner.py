@@ -53,15 +53,16 @@ def build_evidence(table: ObservationTable) -> ConcreteMealy:
     return ConcreteMealy(table.sigma_e, len(table.S), 0, table.gamma, delta)
 
 
-def sep_pred(evidence: ConcreteMealy, algebra: Algebra, partition=None) -> SMealy:
+def sep_pred(evidence: ConcreteMealy, algebra: Algebra, partition=None, memo=None) -> SMealy:
     """Generalize evidence characters into predicates, one state at a time.
 
     For each state the alphabet is grouped by (successor, output) and
-    partitioned with the layout ``state_partitions`` fixes.
+    partitioned with the layout ``state_partitions`` fixes, which also
+    explains ``memo``.
     """
     partition = partition or partitioner_for(algebra)
     transitions = []
-    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition):
+    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition, memo):
         for (target, output), pred in pairs:
             if not pred.is_false():
                 transitions.append((q, pred, target, output))
@@ -88,9 +89,15 @@ def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMe
 
 def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
           trace=None) -> tuple[SMealy, LearnStats]:
-    """Identify the teacher's hidden machine; returns it with run statistics."""
+    """Identify the teacher's hidden machine; returns it with run statistics.
+
+    Each state's predicates are kept from round to round while its sample
+    groups only grow inside them, so a custom ``partition`` must be stable
+    (see ``smalearn.partition``).
+    """
     start = time.perf_counter()
     partition = partition or partitioner_for(algebra)
+    memo = {}  # evidence state -> its groups and predicates, see state_partitions
     if a0 is None:
         a0 = algebra.min_char()
     table = ObservationTable(algebra, oracle.output_query, a0)
@@ -113,7 +120,7 @@ def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
             emit(lambda: {"event": "repair", "kind": defect.kind,
                           "witness": defect.witness, "table": table.snapshot()})
         evidence = build_evidence(table)
-        hyp = sep_pred(evidence, algebra, partition)
+        hyp = sep_pred(evidence, algebra, partition, memo)
         _check_hypothesis(table, evidence, hyp)
         emit(lambda: {"event": "hypothesis", "states": hyp.n_states,
                       "sigma_e": tuple(table.sigma_e)})

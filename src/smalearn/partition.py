@@ -5,7 +5,12 @@ sets and returns a same-length list of predicates that are pairwise disjoint,
 jointly cover the domain, and contain their samples.  The functions are
 deterministic and *stable*: enlarging each sample set within its own output
 predicate does not change the result.  Stability is what lets a learner keep
-refining sample sets without invalidating predicates it already inferred.
+refining sample sets without invalidating predicates it already inferred,
+and ``learn`` relies on it: a state keeps its predicates from round to round
+while its groups only grow inside them.  A custom ``partition=`` must
+therefore be stable too, give bottom to every empty group but the first, and
+return the same predicates when empty groups are inserted after the first
+(new states and outputs add such groups to the layout).
 """
 
 from __future__ import annotations
@@ -28,55 +33,60 @@ def partitioner_for(algebra: Algebra):
     raise AlgebraError(f"no partitioning function for kind {algebra.kind}")
 
 
-def _check_groups(algebra: Algebra, groups):
-    normd = []
+def _check_groups(algebra: Algebra, groups) -> dict:
+    """Group index -> its sorted normalized samples, for the non-empty groups only."""
+    normd = {}
     seen = {}
     for i, g in enumerate(groups):
+        if not g:
+            continue
         chars = sorted(algebra.norm_char(a) for a in g)
         for a in chars:
             if a in seen:
                 raise PartitionError(f"sample {a!r} occurs in groups {seen[a]} and {i}")
             seen[a] = i
-        normd.append(chars)
+        normd[i] = chars
     if not seen:
         raise PartitionError("at least one sample group must be non-empty")
     return normd
 
 
 def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
-    """Descending sweep over a 1-D ordered domain.
+    """Ascending sweep over a 1-D ordered domain.
 
-    The maximum remaining sample claims the half-open interval from itself up
-    to the previously claimed sample; the trailing region below the overall
-    minimum joins the minimum sample's group.
+    Each sample claims the half-open interval from itself up to the next
+    sample; the lowest sample also takes the trailing region below it, down
+    to the domain minimum.  Adjacent claims of one group merge into one
+    interval, and every empty group gets the same bottom.
     """
     if algebra.kind not in INTERVAL_KINDS:
         raise AlgebraError(f"partition_intervals needs an interval algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    preds = [algebra.bottom() for _ in normd]
-    items = sorted((a, i) for i, g in enumerate(normd) for a in g)
-    upper = None
-    last = None
-    for a, i in reversed(items):
-        preds[i] = algebra.join(preds[i], algebra.interval(a, upper))
-        upper = a
-        last = i
-    bottom = algebra.min_char()
-    if upper is not None and upper > bottom:
-        preds[last] = algebra.join(preds[last], algebra.interval(bottom, upper))
-    return preds
+    items = sorted((a, i) for i, g in normd.items() for a in g)
+    ivs = {}  # group -> its intervals so far, ascending and non-touching
+    lo = algebra.min_char()
+    for j, (_, i) in enumerate(items):
+        hi = items[j + 1][0] if j + 1 < len(items) else None
+        own = ivs.setdefault(i, [])
+        if own and own[-1][1] == lo:
+            own[-1] = (own[-1][0], hi)
+        else:
+            own.append((lo, hi))
+        lo = hi
+    bottom = algebra.bottom()
+    return [Predicate(kind=algebra.kind, ivs=tuple(ivs[i])) if i in ivs else bottom
+            for i in range(len(groups))]
 
 
 def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
-    """Each group keeps exactly its samples; group 1 absorbs the rest."""
+    """Each group keeps exactly its samples; the first group (index 0) absorbs the rest."""
     if algebra.kind != "equality":
         raise AlgebraError(f"partition_equality needs the equality algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    others = frozenset(a for g in normd[1:] for a in g)
-    preds = [algebra.complement(algebra.eq_chars(others))]
-    for g in normd[1:]:
-        preds.append(algebra.eq_chars(g))
-    return preds
+    others = frozenset(a for i, g in normd.items() if i for a in g)
+    bottom = algebra.bottom()
+    return [algebra.complement(algebra.eq_chars(others))] + [
+        algebra.eq_chars(normd[i]) if i in normd else bottom for i in range(1, len(groups))]
 
 
 def partition_product(algebra: Algebra, groups) -> list[Predicate]:
@@ -92,24 +102,29 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
     if algebra.kind != "product":
         raise AlgebraError(f"partition_product needs a product algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    k = len(normd)
+    k = len(groups)
     axes = algebra.components
     if algebra.arity == 1:
-        flat = [[a[0] for a in g] for g in normd]
+        flat = [[a[0] for a in normd.get(i, ())] for i in range(k)]
         inner = partition_intervals(axes[0], flat)
-        return [algebra.from_boxes([] if p.is_false() else [(p,)]) for p in inner]
+        bottom = algebra.bottom()
+        return [bottom if p.is_false() else algebra.from_boxes([(p,)]) for p in inner]
 
-    items = sorted(((a, i) for i, g in enumerate(normd) for a in g),
+    items = sorted(((a, i) for i, g in normd.items() for a in g),
                    key=lambda t: (sum(t[0]), t[0]))
-    preds = [algebra.bottom() for _ in range(k)]
+    bottom = algebra.bottom()
+    preds = [bottom] * k
     first_char, first_group = items[0]
     preds[first_group] = algebra.top()
+    live = [first_group]  # groups that ever held a region; the probe skips the rest
     for a, i in items[1:]:
-        at = next(g for g in range(k) if member(preds[g], a))
+        at = next(g for g in live if member(preds[g], a))
         if at == i:
             continue
         cone = algebra.from_boxes([tuple(ax.interval(c, None) for ax, c in zip(axes, a))])
         captured = algebra.meet(cone, preds[at])
         preds[at] = algebra.meet(preds[at], algebra.complement(captured))
+        if preds[i] is bottom:
+            live.append(i)
         preds[i] = algebra.join(preds[i], captured)
     return preds

@@ -15,10 +15,12 @@ from smalearn.automata import (
     ConcreteMealy,
     SMealy,
     restrict,
+    state_partitions,
     symbolic_equiv,
 )
 from smalearn.bench import make_builtin, make_worked_example
 from smalearn.oracle import essential_characters
+from smalearn.partition import partition_intervals
 
 NAT = Algebra.naturals()
 
@@ -408,3 +410,34 @@ def test_states_without_transitions_reported_incomplete():
     m = SMealy.from_json(unused_states_data(3))
     assert [(v.state, v.kind, v.detail) for v in m.validate()] == \
         [(1, "incomplete", (NAT.top(),)), (2, "incomplete", (NAT.top(),))]
+
+
+def evidence_from_state0(moves, n_states=1):
+    """Evidence-like machine: state 0 maps each character to its (successor, output)."""
+    delta = {(q, a): (0, "a") for q in range(1, n_states) for a in moves}
+    delta.update({(0, a): move for a, move in moves.items()})
+    return ConcreteMealy(list(moves), n_states, 0, ["a", "b"], delta)
+
+
+@pytest.mark.parametrize("after,kept", [
+    ({0: (0, "a"), 5: (0, "b"), 7: (0, "b"), 2: (0, "a")}, True),  # each inside its predicate
+    ({0: (0, "a"), 5: (0, "b"), 3: (0, "b")}, False),  # 3 lies in the other group's predicate
+    ({5: (0, "b")}, False),  # sample 0 left its group
+    ({0: (0, "b"), 5: (0, "b")}, False),  # sample 0 moved to the other group
+    ({0: (0, "a"), 5: (0, "b"), 9: (1, "a")}, False),  # a key that was empty gets a sample
+], ids=["grown-inside", "grown-outside", "sample-left", "sample-moved", "new-key"])
+def test_state_partitions_memo_keeps_only_what_partitioning_again_would_give(after, kept):
+    before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
+    memo = {}
+    first = [dict(pairs) for _, pairs in state_partitions(before, before.alphabet, NAT,
+                                                          partition_intervals, memo)]
+    assert first[0] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
+    kept_preds = memo[0][1]
+    machine = evidence_from_state0(after, n_states=2)
+    again = [dict(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
+                                                          partition_intervals, memo)]
+    fresh = [dict(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
+                                                          partition_intervals)]
+    assert again == fresh
+    assert all(len(preds) == 4 for preds in again)  # every key of the grown layout
+    assert (memo[0][1].get((0, "a")) is kept_preds[(0, "a")]) == kept

@@ -139,6 +139,27 @@ def test_learn_with_init_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("init", ["5", "true", "null", "[1]", "[1,2,3]", '{"a":1}'])
+def test_init_not_a_product_character_is_one_line_exit_2(capsys, init):
+    code, stdout, err = run_cli(capsys, "learn", "--bench", "mh", "--init", init)
+    assert code == 2
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    shown = repr(json.loads(init))
+    assert line == f"smalearn: bad --init value: expected a list of 4 components, got {shown}"
+
+
+def test_init_not_a_real_is_one_line_exit_2(tmp_path, capsys):
+    path = tmp_path / "real.json"
+    path.write_text(machine_json({"kind": "interval-real"}))
+    for init, shown in [("null", "None"), ('"1.5"', "'1.5'"), ("true", "True")]:
+        code, stdout, err = run_cli(capsys, "learn", "--target", str(path), "--init", init)
+        assert code == 2
+        assert err.strip().splitlines() == [f"smalearn: bad --init value: not a real: {shown}"]
+    code, _, _ = run_cli(capsys, "learn", "--target", str(path), "--init", "2")
+    assert code == 0
+
+
 def test_reps_write_multiple_rows(tmp_path, capsys):
     stats = tmp_path / "stats.csv"
     code, _, _ = run_cli(capsys, "learn", "--bench", "worked-example",

@@ -1,17 +1,21 @@
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalearn import automata, learner
 from smalearn.algebra import Algebra
 from smalearn.automata import SMealy, shortlex_key, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
+    make_atgs,
     make_lower_bound,
     make_mh,
     make_worked_example,
     random_sma,
 )
-from smalearn.learner import build_evidence, learn, sep_pred
+from smalearn.learner import LearningError, build_evidence, learn, sep_pred
 from smalearn.obstable import ObservationTable
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
 
@@ -235,6 +239,61 @@ def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
     learned, stats = learn(Oracle(target, mode=mode, seed=seed), target.algebra)
     assert symbolic_equiv(learned, target) is None
     assert len(changes) > stats.eq_queries
+
+
+@contextmanager
+def fresh_partition_every_round():
+    """Make ``learn`` also partition from scratch in every round and compare.
+
+    Yields the list of reuse decisions, one per state partition that had an
+    earlier round's entry in the memo.
+    """
+    reused = []
+    sep_pred_memo, grows_inside = learner.sep_pred, automata._grows_inside
+
+    def checked(evidence, algebra, partition=None, memo=None):
+        assert memo is not None
+        hyp = sep_pred_memo(evidence, algebra, partition, memo)
+        fresh = sep_pred_memo(evidence, algebra, partition)
+        assert hyp == fresh
+        return hyp
+
+    def recorded(*args):
+        reused.append(grows_inside(*args))
+        return reused[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "sep_pred", checked)
+        mp.setattr(automata, "_grows_inside", recorded)
+        yield reused
+
+
+@pytest.mark.parametrize("target,mode,seed,max_rounds", [
+    (make_worked_example(), "lexmin", None, None),
+    (make_lower_bound(3, 3), "lexmin", None, None),
+    (make_mh(), "random", 3, None),
+    (make_atgs(), "lexmin", None, 25),
+    (random_sma(RandomSpec(n=20, k=10, seed=5)), "random", 11, None),
+], ids=["worked-example", "lower:3,3", "mh-random", "atgs-25-rounds", "nat-20-random"])
+def test_kept_partitions_match_fresh_ones_every_round(target, mode, seed, max_rounds):
+    with fresh_partition_every_round() as reused:
+        try:
+            learned, _ = learn(Oracle(target, mode=mode, seed=seed), target.algebra,
+                               max_rounds=max_rounds)
+        except LearningError:
+            assert max_rounds is not None
+        else:
+            assert symbolic_equiv(learned, target) is None
+    assert any(reused)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 5), seed=st.integers(0, 10 ** 6))
+def test_kept_partitions_match_fresh_ones_on_small_targets(n, k, seed):
+    target = random_sma(RandomSpec(n=n, k=k, seed=seed, boundary_top=12))
+    with fresh_partition_every_round():
+        learned, _ = learn(Oracle(target, mode="random", seed=seed), NAT)
+    assert symbolic_equiv(learned, target) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalearn.algebra import Algebra
 from smalearn.partition import (
@@ -112,7 +115,15 @@ def test_product_mh_flavored_samples():
     check_partition(alg, groups, preds, probes)
 
 
-from helpers import nat_probe, product_probe, random_nat_groups, random_product_groups
+from helpers import (
+    GUARD_ALGEBRAS,
+    domain_chars,
+    endpoint_grid,
+    nat_probe,
+    product_probe,
+    random_nat_groups,
+    random_product_groups,
+)
 
 
 def test_interval_validity_and_stability_randomized():
@@ -182,3 +193,52 @@ def test_partitioner_dispatch():
     assert partitioner_for(NAT) is partition_intervals
     assert partitioner_for(EQ) is partition_equality
     assert partitioner_for(Algebra.product(NAT, NAT)) is partition_product
+
+
+@st.composite
+def sample_groups(draw, alg):
+    """Up to six disjoint groups of distinct samples, some of them empty."""
+    chars = draw(st.lists(domain_chars(alg), min_size=1, max_size=10, unique_by=alg.norm_char))
+    k = draw(st.integers(1, 6))
+    groups = [set() for _ in range(k)]
+    for a in chars:
+        groups[draw(st.integers(0, k - 1))].add(a)
+    return groups
+
+
+def sweep_order(alg, a):
+    a = alg.norm_char(a)
+    return (sum(a), a) if alg.kind == "product" else a
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["interval-nat", "interval-real", "product-2", "product-3"]),
+       data=st.data())
+def test_partitions_stay_valid_and_stable_as_samples_grow(name, data):
+    alg = GUARD_ALGEBRAS[name]
+    partition = partitioner_for(alg)
+    groups = data.draw(sample_groups(alg))
+    preds = partition(alg, groups)
+
+    assert len(preds) == len(groups)
+    for g, p in zip(groups, preds):
+        assert all(alg.denotes(p, a) for a in g)
+        if not g:
+            assert p == alg.bottom()
+    assert alg.union(*preds) == alg.top()
+    for p, q in itertools.combinations(preds, 2):
+        assert alg.is_empty(alg.meet(p, q))
+    grid = endpoint_grid(alg, preds)
+    for c in grid:
+        assert sum(alg.denotes(p, c) for p in preds) == 1
+    # the first sample of the sweep keeps the region below every sample
+    first = min(((a, i) for i, g in enumerate(groups) for a in g),
+                key=lambda t: sweep_order(alg, t[0]))[1]
+    assert alg.denotes(preds[first], alg.min_char())
+
+    grown = [set(g) for g in groups]
+    for c in data.draw(st.lists(st.one_of(domain_chars(alg), st.sampled_from(grid)),
+                                max_size=8)):
+        owner = next(i for i, p in enumerate(preds) if alg.denotes(p, c))
+        grown[owner].add(c)
+    assert partition(alg, grown) == preds
