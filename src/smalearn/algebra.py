@@ -201,12 +201,25 @@ class Algebra:
         return Predicate(kind="product", boxes=((tuple(c.top() for c in self.components)),))
 
     def interval(self, lo, hi) -> Predicate:
-        """Half-open interval ``[lo, hi)``; ``hi=None`` means unbounded."""
+        """Half-open interval ``[lo, hi)``; ``hi=None`` means unbounded.
+
+        ``hi`` follows ``norm_char``'s type rules but may lie outside the
+        domain, e.g. at its bound: NaN, the infinities and integers that
+        overflow a float are not finite reals.
+        """
         if self.kind not in INTERVAL_KINDS:
             raise AlgebraError(f"interval undefined for kind {self.kind}")
         lo = self.norm_char(lo)
         if hi is not None:
-            hi = int(hi) if self.kind == "interval-nat" else float(hi)
+            number = not isinstance(hi, bool) and isinstance(hi, (int, float))
+            if self.kind == "interval-nat":
+                if not number or isinstance(hi, float) and not hi.is_integer():
+                    raise AlgebraError(f"upper endpoint is not a natural: {hi!r}")
+                hi = int(hi)
+            elif number and -sys.float_info.max <= hi <= sys.float_info.max:
+                hi = float(hi)
+            else:
+                raise AlgebraError(f"upper endpoint is not a finite real: {hi!r}")
             if hi <= lo:
                 raise AlgebraError(f"empty interval [{lo}, {hi})")
         return Predicate(kind=self.kind, ivs=self._norm_ivs(((lo, hi),)))
@@ -414,7 +427,7 @@ class Algebra:
             # upper endpoints may sit just outside the domain (e.g. the bound)
             if isinstance(v, dict) and set(v) == {"na"}:
                 return alg.next_above(alg.char_from_json(v["na"]))
-            return int(v) if alg.kind == "interval-nat" else float(v)
+            return v  # interval() checks its type
 
         def axis_iv(alg, pair):
             lo = alg.char_from_json(pair[0])

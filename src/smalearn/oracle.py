@@ -6,7 +6,9 @@ only from the target's *essential characters*: per state, the grid spanned
 by the lower endpoints of its guard boxes (plus the axis minima).  Feeding
 those characters to the partitioning function reproduces each state's guard
 partition, which is verified at construction; it is that property that lets
-a learner terminate without ever seeing other characters.
+a learner terminate without ever seeing other characters.  The random
+search of one query reads one product graph of hypothesis and target, built
+on demand for the pairs it reaches.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class EquivOracle:
 
     def _search(self, hyp_sym: SMealy, hyp: ConcreteMealy):
         tgt = self._restricted
-        if self.mode == "lexmin":
+        if self.mode == "lexmin":  # its own walk, to stop at the first differing character
             start = (hyp.initial, tgt.initial)
             seen = {start: ()}
             queue = deque([start])
@@ -154,79 +156,75 @@ class EquivOracle:
         characters that do not already occur in the hypothesis's guards are
         preferred, and the draw is seeded-uniform within that class.  A
         shortest word revealing several characters at once would skip
-        refinement steps the learner is entitled to take one by one.
+        refinement steps the learner is entitled to take one by one.  Words
+        are counted only over the state pairs reachable at each depth.
         """
         tgt = self._restricted
-        cap = hyp.n_states * tgt.n_states + 1
-        length = self._min_mismatch_length(hyp, tgt, tgt.alphabet, cap)
-        if length is None:
-            return None
+        edges = _product_graph(hyp, tgt)
+        # layers[k]: the pairs reachable in exactly k steps; a pair can recur
+        # at a later depth, so a layer is every successor of the one before
+        layers = [[(hyp.initial, tgt.initial)]]
+        seen = set(layers[0])
+        while not any(differs for pair in layers[-1] for _a, _nxt, differs in edges(pair)):
+            layer = dict.fromkeys(nxt for pair in layers[-1] for _a, nxt, _differs in edges(pair))
+            if seen.issuperset(layer):
+                return None
+            seen.update(layer)
+            layers.append(list(layer))
+        length = len(layers)
         known = set(essential_characters(hyp_sym)) & set(tgt.alphabet)
+        cost = {a: 0 if a in known else 1 for a in tgt.alphabet}
 
-        # counts[t][pair][j]: length-t words from pair whose final output
-        # disagrees and which use exactly j fresh (non-known) characters
-        pairs = [(q1, q2) for q1 in range(hyp.n_states) for q2 in range(tgt.n_states)]
+        # counts[t][pair][j], for pair in layers[length - t]: length-t words
+        # from pair whose final output disagrees and which use exactly j
+        # fresh (non-known) characters
         counts = [None] * (length + 1)
-        counts[1] = {pair: [0] * (length + 1) for pair in pairs}
-        for pair in pairs:
-            for a in tgt.alphabet:
-                if hyp.step(pair[0], a)[1] != tgt.step(pair[1], a)[1]:
-                    counts[1][pair][0 if a in known else 1] += 1
-        for t in range(2, length + 1):
-            counts[t] = {pair: [0] * (length + 1) for pair in pairs}
-            for pair in pairs:
-                row = counts[t][pair]
-                for a in tgt.alphabet:
-                    nxt = (hyp.step(pair[0], a)[0], tgt.step(pair[1], a)[0])
-                    sub = counts[t - 1][nxt]
-                    cost = 0 if a in known else 1
-                    for j in range(length + 1 - cost):
-                        row[j + cost] += sub[j]
+        one, zero = [1] + [0] * length, [0] * (length + 1)
 
-        start = (hyp.initial, tgt.initial)
-        fresh_used = next(j for j in range(length + 1) if counts[length][start][j])
-        index = self.rng.randrange(counts[length][start][fresh_used])
+        def tails(t, nxt, differs):  # counts[t - 1][nxt]; at t == 1, the edge's own difference
+            return counts[t - 1][nxt] if t > 1 else one if differs else zero
+
+        for t in range(1, length + 1):
+            counts[t] = {}
+            for pair in layers[length - t]:
+                row = counts[t][pair] = [0] * (length + 1)
+                for a, nxt, differs in edges(pair):
+                    sub = tails(t, nxt, differs)
+                    for j in range(length + 1 - cost[a]):
+                        row[j + cost[a]] += sub[j]
+
+        pair = layers[0][0]
+        fresh_used = next(j for j in range(length + 1) if counts[length][pair][j])
+        index = self.rng.randrange(counts[length][pair][fresh_used])
         word = []
-        pair = start
         for t in range(length, 0, -1):
-            for a in tgt.alphabet:
-                cost = 0 if a in known else 1
-                if cost > fresh_used:
+            for a, nxt, differs in edges(pair):
+                if cost[a] > fresh_used:
                     continue
-                nxt = (hyp.step(pair[0], a)[0], tgt.step(pair[1], a)[0])
-                if t == 1:
-                    differs = hyp.step(pair[0], a)[1] != tgt.step(pair[1], a)[1]
-                    weight = int(differs and cost == fresh_used)
-                else:
-                    weight = counts[t - 1][nxt][fresh_used - cost]
+                weight = tails(t, nxt, differs)[fresh_used - cost[a]]
                 if index < weight:
                     word.append(a)
                     pair = nxt
-                    fresh_used -= cost
+                    fresh_used -= cost[a]
                     break
                 index -= weight
             else:
                 raise AssertionError("sampling walked off the count table")
         return tuple(word)
 
-    @staticmethod
-    def _min_mismatch_length(hyp, tgt, alphabet, cap):
-        frontier = {(hyp.initial, tgt.initial)}
-        seen = set(frontier)
-        for length in range(1, cap + 1):
-            nxt = set()
-            for q1, q2 in frontier:
-                for a in alphabet:
-                    p1, o1 = hyp.step(q1, a)
-                    p2, o2 = tgt.step(q2, a)
-                    if o1 != o2:
-                        return length
-                    nxt.add((p1, p2))
-            frontier = nxt - seen
-            seen |= nxt
-            if not frontier:
-                return None
-        return None
+
+def _product_graph(hyp: ConcreteMealy, tgt: ConcreteMealy):
+    """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of
+    ``tgt``'s alphabet in order, computed on a pair's first use and then kept."""
+    graph = {}
+
+    def edges(pair):
+        out = graph.get(pair)
+        if out is None:
+            steps = ((a, hyp.step(pair[0], a), tgt.step(pair[1], a)) for a in tgt.alphabet)
+            out = graph[pair] = [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in steps]
+        return out
+    return edges
 
 
 class Oracle:

@@ -6,8 +6,9 @@ import random
 from hypothesis import strategies as st
 
 from smalearn.algebra import INTERVAL_KINDS, Algebra, AlgebraError, flat_boxes
-from smalearn.automata import SMealy, shortlex_key
+from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key
 from smalearn.obstable import COHESIVE, Defect
+from smalearn.oracle import essential_characters
 
 NAT = Algebra.naturals()
 
@@ -192,13 +193,13 @@ def _disjoint_cover(alg, preds):
 
 
 @st.composite
-def sym_machines(draw, alg):
-    """Symbolic machines over ``alg``: valid ones, and ones with overlaps and gaps."""
+def sym_machines(draw, alg, valid=False):
+    """Symbolic machines over ``alg``; with ``valid`` False, also ones with overlaps and gaps."""
     n = draw(st.integers(1, 3))
     transitions = []
     for q in range(n):
         preds = draw(st.lists(guards(alg), max_size=4))
-        if draw(st.booleans()):
+        if valid or draw(st.booleans()):
             preds = _disjoint_cover(alg, preds)
         for p in preds:
             transitions.append((q, p, draw(st.integers(0, n - 1)), draw(st.sampled_from("xyz"))))
@@ -332,4 +333,108 @@ class RescanTable:
         for w in sorted(self._word_set(), key=shortlex_key):
             if w and w[-1] not in known:
                 return Defect("not_output_closed", (w[:-1], w[-1]))
+        return None
+
+
+# -- reference random equivalence search ---------------------------------------
+
+
+class FullTableSearch:
+    """The random equivalence search as a count over every state pair, for differential tests.
+
+    ``_search_random`` and ``_min_mismatch_length`` are the oracle's as they
+    were before it counted only the pairs reachable at each depth, copied
+    verbatim: the minimal length comes from a first-reach walk, and the count
+    table covers all hypothesis x target pairs at every length.  ``rng`` is
+    the caller's, so its state can be compared with the oracle's.
+    """
+
+    def __init__(self, target: SMealy, essential, rng: random.Random):
+        self.essential = list(essential)
+        self._restricted = restrict(target, self.essential)
+        self.rng = rng
+
+    def search(self, hyp_sym: SMealy):
+        """The served word, or None when no word over the essential characters differs."""
+        return self._search_random(hyp_sym, restrict(hyp_sym, self.essential))
+
+    def _search_random(self, hyp_sym: SMealy, hyp: ConcreteMealy):
+        """Random counterexample: minimal length, then fewest new characters.
+
+        Among the minimal-length disagreeing words, those using the fewest
+        characters that do not already occur in the hypothesis's guards are
+        preferred, and the draw is seeded-uniform within that class.  A
+        shortest word revealing several characters at once would skip
+        refinement steps the learner is entitled to take one by one.
+        """
+        tgt = self._restricted
+        cap = hyp.n_states * tgt.n_states + 1
+        length = self._min_mismatch_length(hyp, tgt, tgt.alphabet, cap)
+        if length is None:
+            return None
+        known = set(essential_characters(hyp_sym)) & set(tgt.alphabet)
+
+        # counts[t][pair][j]: length-t words from pair whose final output
+        # disagrees and which use exactly j fresh (non-known) characters
+        pairs = [(q1, q2) for q1 in range(hyp.n_states) for q2 in range(tgt.n_states)]
+        counts = [None] * (length + 1)
+        counts[1] = {pair: [0] * (length + 1) for pair in pairs}
+        for pair in pairs:
+            for a in tgt.alphabet:
+                if hyp.step(pair[0], a)[1] != tgt.step(pair[1], a)[1]:
+                    counts[1][pair][0 if a in known else 1] += 1
+        for t in range(2, length + 1):
+            counts[t] = {pair: [0] * (length + 1) for pair in pairs}
+            for pair in pairs:
+                row = counts[t][pair]
+                for a in tgt.alphabet:
+                    nxt = (hyp.step(pair[0], a)[0], tgt.step(pair[1], a)[0])
+                    sub = counts[t - 1][nxt]
+                    cost = 0 if a in known else 1
+                    for j in range(length + 1 - cost):
+                        row[j + cost] += sub[j]
+
+        start = (hyp.initial, tgt.initial)
+        fresh_used = next(j for j in range(length + 1) if counts[length][start][j])
+        index = self.rng.randrange(counts[length][start][fresh_used])
+        word = []
+        pair = start
+        for t in range(length, 0, -1):
+            for a in tgt.alphabet:
+                cost = 0 if a in known else 1
+                if cost > fresh_used:
+                    continue
+                nxt = (hyp.step(pair[0], a)[0], tgt.step(pair[1], a)[0])
+                if t == 1:
+                    differs = hyp.step(pair[0], a)[1] != tgt.step(pair[1], a)[1]
+                    weight = int(differs and cost == fresh_used)
+                else:
+                    weight = counts[t - 1][nxt][fresh_used - cost]
+                if index < weight:
+                    word.append(a)
+                    pair = nxt
+                    fresh_used -= cost
+                    break
+                index -= weight
+            else:
+                raise AssertionError("sampling walked off the count table")
+        return tuple(word)
+
+    @staticmethod
+    def _min_mismatch_length(hyp, tgt, alphabet, cap):
+        frontier = {(hyp.initial, tgt.initial)}
+        seen = set(frontier)
+        for length in range(1, cap + 1):
+            nxt = set()
+            for q1, q2 in frontier:
+                for a in alphabet:
+                    p1, o1 = hyp.step(q1, a)
+                    p2, o2 = tgt.step(q2, a)
+                    if o1 != o2:
+                        return length
+                    nxt.add((p1, p2))
+            frontier = nxt - seen
+            seen |= nxt
+            if not frontier:
+                return None
         return None

@@ -96,6 +96,15 @@ def test_interval_rejects_empty():
         NAT.interval(7, 3)
 
 
+@pytest.mark.parametrize("alg,hi", [
+    (NAT, "5"), (NAT, True), (NAT, 5.5), (NAT, math.nan), (NAT, math.inf),
+    (REAL, "5"), (REAL, False), (REAL, math.nan), (REAL, math.inf), (REAL, 10**400),
+])
+def test_interval_upper_endpoint_needs_the_axis_type(alg, hi):
+    with pytest.raises(AlgebraError, match="^upper endpoint is not a"):
+        alg.interval(0, hi)
+
+
 def test_equality_ops():
     a = EQ.eq_chars({1, 3})
     b = EQ.eq_chars({3, 5})

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -314,6 +315,43 @@ def test_algebra_descriptor_accepts_integer_min_and_bound():
     assert Algebra.from_json({"kind": "interval-real", "min": -5}) == Algebra.reals(-5.0)
     assert Algebra.from_json({"kind": "interval-nat", "bound": 1}) == Algebra.naturals(bound=1)
     assert Algebra.from_json({"kind": "interval-nat", "bound": None}) == Algebra.naturals()
+
+
+def upper_endpoint_data(kind, upper):
+    """Guards [0, upper) and [5, inf) of one state, read from JSON text with ``upper`` in it."""
+    return json.loads(
+        f'{{"algebra": {{"kind": "{kind}"}}, "states": 1, "initial": 0, "outputs": ["a"], '
+        f'"transitions": [{{"from": 0, "guard": [[[0, {upper}]]], "to": 0, "out": "a"}}, '
+        f'{{"from": 0, "guard": [[[5, null]]], "to": 0, "out": "a"}}]}}')
+
+
+@pytest.mark.parametrize("kind,upper", [
+    ("interval-nat", '"5"'), ("interval-nat", "true"), ("interval-nat", "false"),
+    ("interval-nat", "5.5"), ("interval-nat", "NaN"), ("interval-nat", "Infinity"),
+    ("interval-nat", "[5]"),
+    ("interval-real", '"nan"'), ("interval-real", '"5"'), ("interval-real", "true"),
+    ("interval-real", "NaN"), ("interval-real", "Infinity"), ("interval-real", "-Infinity"),
+    ("interval-real", "1e400"),
+])
+def test_json_upper_endpoint_needs_the_axis_type(kind, upper):
+    with pytest.raises(AlgebraError, match="^upper endpoint is not a"):
+        SMealy.from_json(upper_endpoint_data(kind, upper))
+
+
+@pytest.mark.parametrize("kind,upper,want", [
+    ("interval-nat", "5", 5), ("interval-nat", "5.0", 5), ("interval-nat", '{"na": 4}', 5),
+    ("interval-real", "5", 5.0), ("interval-real", "2.5", 2.5),
+])
+def test_json_upper_endpoint_of_the_axis_type_loads(kind, upper, want):
+    m = SMealy.from_json(upper_endpoint_data(kind, upper))
+    assert m.transitions[0].guard == m.algebra.union(m.algebra.interval(0, want),
+                                                     m.algebra.interval(5, None))
+
+
+def test_json_upper_endpoint_may_lie_at_the_bound():
+    data = upper_endpoint_data("interval-nat", "8")
+    data["algebra"]["bound"] = 8
+    assert SMealy.from_json(data).transitions[0].guard == Algebra.naturals(bound=8).top()
 
 
 # -- compiled guards: step against a linear first-match scan ------------------

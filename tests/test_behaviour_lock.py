@@ -1,0 +1,91 @@
+"""Behaviour lock: query counts, table sizes and counterexample digests of fixed learns.
+
+Each case in ``behaviour_lock.json`` names a target, the teacher's mode and
+seed, and optionally the equivalence query at which the learn is stopped.
+Its record must match exactly, so a change that moves any of these numbers
+shows up here.  ``cex_digest`` hashes the counterexamples in the order they
+were served, as the benchmark harness does.  Running this file as a script
+prints the records of the current code in the file's format.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from smalearn import learner
+from smalearn.bench import RandomSpec, make_builtin, random_sma
+from smalearn.oracle import Oracle
+
+LOCK = Path(__file__).with_name("behaviour_lock.json")
+CASES = json.loads(LOCK.read_text())
+
+
+class Stopped(Exception):
+    """The learn reached the equivalence query it is stopped at."""
+
+
+class Recorder:
+    """Teacher wrapper that keeps the counterexamples and stops at query ``stop_at``."""
+
+    def __init__(self, oracle, stop_at):
+        self.oracle, self.output, self.stop_at = oracle, oracle.output, stop_at
+        self.eq = 0
+        self.counterexamples = []
+
+    def output_query(self, word):
+        return self.oracle.output_query(word)
+
+    def equivalence_query(self, hyp):
+        self.eq += 1
+        if self.eq == self.stop_at:
+            raise Stopped
+        cex = self.oracle.equivalence_query(hyp)
+        if cex is not None:
+            self.counterexamples.append(tuple(cex))
+        return cex
+
+
+def build_target(spec):
+    if isinstance(spec, str):
+        return make_builtin(spec)
+    n, k, seed = spec["random"]
+    return random_sma(RandomSpec(n=n, k=k, seed=seed))
+
+
+def record(case) -> dict:
+    target = build_target(case["target"])
+    teacher = Recorder(Oracle(target, mode=case["mode"], seed=case.get("oracle_seed")),
+                       case.get("stop_at"))
+    tables = []
+
+    class KeptTable(learner.ObservationTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    with mock.patch.object(learner, "ObservationTable", KeptTable):
+        try:
+            learner.learn(teacher, target.algebra)
+        except Stopped:
+            pass
+    table, = tables
+    return {"eq": teacher.eq, "oq": teacher.output.distinct_queries,
+            "oq_total": teacher.output.total_queries, "R": len(table.R), "E": len(table.E),
+            "sigma_e": len(table.sigma_e),
+            "cex_digest": hashlib.sha256(repr(teacher.counterexamples).encode()).hexdigest()[:16]}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_behaviour_matches_lock(case):
+    assert record(case) == case["expect"]
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        case["expect"] = record(case)
+    json.dump(CASES, sys.stdout, indent=1)
+    print()

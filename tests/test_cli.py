@@ -183,9 +183,11 @@ def test_reps_below_one_rejected(tmp_path, capsys, reps):
     assert not out.exists()
 
 
-def machine_json(algebra):
+def machine_json(algebra, intervals=([0, None],)):
+    """One state with one self-loop per 1-D interval, all answering ``a``."""
     return json.dumps({"algebra": algebra, "states": 1, "initial": 0, "outputs": ["a"],
-                       "transitions": [{"from": 0, "guard": [[[0, None]]], "to": 0, "out": "a"}]})
+                       "transitions": [{"from": 0, "guard": [[iv]], "to": 0, "out": "a"}
+                                       for iv in intervals]})
 
 
 BAD_FILES = {
@@ -196,6 +198,9 @@ BAD_FILES = {
     "real-min-minus-inf": machine_json({"kind": "interval-real", "min": float("-inf")}).encode(),
     "nat-bound-fraction": machine_json({"kind": "interval-nat", "bound": 2.5}).encode(),
     "nat-bound-bool": machine_json({"kind": "interval-nat", "bound": True}).encode(),
+    "nat-upper-string": machine_json({"kind": "interval-nat"}, ([0, "5"], [5, None])).encode(),
+    "real-upper-nan": machine_json({"kind": "interval-real"},
+                                   ([0, float("nan")], [5, None])).encode(),
 }
 
 

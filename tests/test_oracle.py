@@ -1,12 +1,21 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import GUARD_ALGEBRAS, FullTableSearch, sym_machines
 from smalearn.algebra import Algebra, AlgebraError
-from smalearn.automata import SMealy
-from smalearn.bench import make_atgs, make_lower_bound, make_mh, make_worked_example
+from smalearn.automata import SMealy, symbolic_equiv
+from smalearn.bench import (
+    RandomSpec,
+    make_atgs,
+    make_lower_bound,
+    make_mh,
+    make_worked_example,
+    random_sma,
+)
 from smalearn.oracle import (
     EquivOracle,
     Oracle,
@@ -178,6 +187,83 @@ def test_oracle_assumption_violation():
     oracle = EquivOracle(tgt, mode="lexmin")  # essential = {0}
     with pytest.raises(OracleAssumptionViolation):
         oracle.query(hyp)
+
+
+def test_random_oracle_assumption_violation():
+    split = (NAT.interval(0, 5), "x"), (NAT.interval(5, None), "y")
+    # over {0} the product graph is the cycle (0,0) -> (1,1) -> (2,2) -> (0,0):
+    # it stops growing after three layers without a differing edge
+    cycle = SMealy(NAT, 3, 0, [], [(q, NAT.top(), (q + 1) % 3, "x") for q in range(3)])
+    late = SMealy(NAT, 3, 0, [], [(0, NAT.top(), 1, "x"), (1, NAT.top(), 2, "x")]
+                  + [(2, guard, 0, out) for guard, out in split])
+    for tgt, hyp in ((one_state((NAT.top(), "x")), one_state(*split)), (cycle, late)):
+        oracle = EquivOracle(tgt, mode="random", seed=3)  # essential = {0}
+        with pytest.raises(OracleAssumptionViolation):
+            oracle.query(hyp)
+
+
+def test_random_oracle_deep_difference_through_recurring_pairs():
+    # two characters >= 10 in a row reach target state 2, which answers 0
+    # with "y"; the pairs (h, 0) and (h, 1) recur at every later depth
+    iv = NAT.interval
+    tgt = SMealy(NAT, 3, 0, [], [
+        (0, iv(0, 10), 0, "x"), (0, iv(10, None), 1, "x"),
+        (1, iv(0, 10), 0, "x"), (1, iv(10, None), 2, "x"),
+        (2, iv(0, 10), 0, "y"), (2, iv(10, 20), 2, "x"), (2, iv(20, None), 0, "x"),
+    ])
+    hyp = one_state((NAT.top(), "x"))
+    served = set()
+    for seed in range(40):
+        oracle = EquivOracle(tgt, mode="random", seed=seed)
+        ref = FullTableSearch(tgt, oracle.essential, random.Random(seed))
+        cex = oracle.query(hyp)
+        assert cex == ref.search(hyp)
+        assert oracle.rng.getstate() == ref.rng.getstate()
+        served.add(cex)
+    assert served == {(a, b, 0) for a in (10, 20) for b in (10, 20)}
+
+
+@st.composite
+def mutants(draw, target):
+    """``target`` with one transition given another successor or output."""
+    trs = [(t.source, t.guard, t.target, t.output) for t in target.transitions]
+    i = draw(st.integers(0, len(trs) - 1))
+    trs[i] = trs[i][:2] + (draw(st.integers(0, target.n_states - 1)), draw(st.sampled_from("xyz")))
+    return SMealy(target.algebra, target.n_states, target.initial, [], trs)
+
+
+@st.composite
+def random_teacher_cases(draw):
+    """A target over naturals or a 2-axis product and hypotheses to pose against it."""
+    if draw(st.booleans()):
+        alg = NAT
+        target = random_sma(RandomSpec(n=draw(st.integers(1, 6)), k=draw(st.integers(1, 5)),
+                                       seed=draw(st.integers(0, 2 ** 16)), boundary_top=12))
+    else:
+        alg = GUARD_ALGEBRAS["product-2"]
+        target = draw(sym_machines(alg, valid=True))
+    hyps = st.one_of(sym_machines(alg, valid=True), mutants(target))
+    return target, draw(st.lists(hyps, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_teacher_cases(), st.integers(0, 2 ** 32))
+def test_random_search_matches_full_table_reference(case, seed):
+    target, hyps = case
+    try:
+        oracle = EquivOracle(target, mode="random", seed=seed)
+    except OracleAssumptionViolation:  # a generated product target the grid does not cover
+        assume(False)
+    ref = FullTableSearch(target, oracle.essential, random.Random(seed))
+    for hyp in hyps:
+        if symbolic_equiv(hyp, target) is None:
+            assert oracle.query(hyp) is None
+        elif (want := ref.search(hyp)) is None:
+            with pytest.raises(OracleAssumptionViolation):
+                oracle.query(hyp)
+        else:
+            assert oracle.query(hyp) == want
+        assert oracle.rng.getstate() == ref.rng.getstate()
 
 
 def test_composite_oracle_rejects_invalid_target():
