@@ -8,7 +8,8 @@ Four algebra kinds are supported:
   configurable domain minimum.
 * ``equality``: finite and co-finite character sets, over the naturals or an
   explicitly declared finite carrier.
-* ``product``: finite unions of boxes over a tuple of 1-D interval algebras.
+* ``product``: finite unions of boxes over a tuple of at least two 1-D
+  interval algebras.
 
 Predicates are immutable and kept in a canonical normal form, so two
 predicates with equal denotations compare structurally equal.  ``hi = None``
@@ -113,8 +114,8 @@ class Algebra:
 
     @staticmethod
     def product(*components: "Algebra") -> "Algebra":
-        if not components:
-            raise AlgebraError("product arity must be >= 1")
+        if len(components) < 2:
+            raise AlgebraError("product arity must be >= 2")
         for c in components:
             if c.kind not in INTERVAL_KINDS:
                 raise AlgebraError(f"unsupported product component kind: {c.kind}")
@@ -123,9 +124,6 @@ class Algebra:
     @property
     def arity(self) -> int:
         return len(self.components) if self.kind == "product" else 1
-
-    def axis(self, i: int) -> "Algebra":
-        return self.components[i]
 
     # -- characters --------------------------------------------------------
 
@@ -249,12 +247,13 @@ class Algebra:
             else:
                 lo, hi = comp
                 preds.append(c.interval(lo, hi))
-        return self._norm_boxes((tuple(preds),))
+        return self.from_boxes((preds,))
 
     def from_boxes(self, boxes) -> Predicate:
         if self.kind != "product":
             raise AlgebraError("from_boxes undefined for non-product algebra")
-        return self._norm_boxes(tuple(tuple(b) for b in boxes))
+        boxes = tuple(b for b in map(tuple, boxes) if not any(c.is_false() for c in b))
+        return self._dl_to_pred(self._pred_to_dl(Predicate(kind="product", boxes=boxes)))
 
     # -- semantics ---------------------------------------------------------
 
@@ -305,11 +304,6 @@ class Algebra:
             return Predicate(kind=self.kind, ivs=_ivs_meet(phi.ivs, psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "meet")
-        if self.arity == 1:
-            axis0 = self.components[0]
-            a = phi.boxes[0][0] if phi.boxes else axis0.bottom()
-            b = psi.boxes[0][0] if psi.boxes else axis0.bottom()
-            return self._norm_boxes(((axis0.meet(a, b),),))
         return self._dl_to_pred(_dl_op(self, self._pred_to_dl(phi), self._pred_to_dl(psi), "meet"))
 
     def join(self, phi: Predicate, psi: Predicate) -> Predicate:
@@ -319,8 +313,6 @@ class Algebra:
             return Predicate(kind=self.kind, ivs=self._norm_ivs(phi.ivs + psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "join")
-        if self.arity == 1:
-            return self._norm_boxes(phi.boxes + psi.boxes)
         return self._dl_to_pred(_dl_op(self, self._pred_to_dl(phi), self._pred_to_dl(psi), "join"))
 
     def complement(self, phi: Predicate) -> Predicate:
@@ -331,10 +323,6 @@ class Algebra:
             if self.carrier is not None:
                 return self._norm_eq(self.carrier - phi.chars, False)
             return self._norm_eq(phi.chars, not phi.negated)
-        if self.arity == 1:
-            axis0 = self.components[0]
-            a = phi.boxes[0][0] if phi.boxes else axis0.bottom()
-            return self._norm_boxes(((axis0.complement(a),),))
         return self._dl_to_pred(_dl_complement(self, self._pred_to_dl(phi)))
 
     def is_empty(self, phi: Predicate) -> bool:
@@ -412,15 +400,7 @@ class Algebra:
     def pred_to_json(self, phi: Predicate):
         """Union-of-boxes guard form: per-axis [lo, hi] with hi=null for inf."""
         self._check(phi)
-        if self.kind in INTERVAL_KINDS:
-            return [[[lo, hi]] for lo, hi in phi.ivs]
-        if self.kind != "product":
-            raise AlgebraError(f"no file guard form for kind {self.kind}")
-        out = []
-        for box in phi.boxes:
-            for flat in _flatten_box(box):
-                out.append([[lo, hi] for lo, hi in flat])
-        return out
+        return [[[lo, hi] for lo, hi in flat] for flat in flat_boxes(self, phi)]
 
     def pred_from_json(self, data) -> Predicate:
         def endpoint(alg, v):
@@ -444,7 +424,7 @@ class Algebra:
             if len(box) != self.arity:
                 raise AlgebraError(f"box arity {len(box)} != {self.arity}")
             boxes.append(tuple(axis_iv(c, pair) for c, pair in zip(self.components, box)))
-        return self._norm_boxes(tuple(boxes))
+        return self.from_boxes(boxes)
 
     # -- internals ---------------------------------------------------------
 
@@ -521,16 +501,9 @@ class Algebra:
         memo = phi.__dict__.get("_dl")
         if memo is not None and (memo[0] is self or memo[0] == self):
             return memo[1]
-        axis0 = self.components[0]
         rest = self._rest_algebra
-        cuts = {axis0.min_char()}
-        for box in phi.boxes:
-            for lo, hi in box[0].ivs:
-                cuts.add(lo)
-                if hi is not None:
-                    cuts.add(hi)
         entries = []
-        for c in sorted(cuts):
+        for c in _cuts(self.components[0], (box[0] for box in phi.boxes)):
             rest_boxes = [box[1:] for box in phi.boxes if member(box[0], c)]
             entries.append((c, rest.from_boxes(rest_boxes) if rest.kind == "product"
                             else rest.union(*(b[0] for b in rest_boxes))))
@@ -563,40 +536,6 @@ class Algebra:
         object.__setattr__(phi, "_dl", (self, dl))
         return phi
 
-    def _norm_boxes(self, raw_boxes) -> Predicate:
-        if self.arity == 1:
-            axis0 = self.components[0]
-            comp = axis0.bottom()
-            for box in raw_boxes:
-                comp = axis0.join(comp, box[0])
-            if comp.is_false():
-                return self.bottom()
-            return Predicate(kind="product", boxes=((comp,),))
-        acc = self._pred_to_dl(Predicate(kind="product", boxes=()))
-        for box in raw_boxes:
-            if any(c.is_false() for c in box):
-                continue
-            single = self._box_to_dl(box)
-            acc = _dl_op(self, acc, single, "join")
-        return self._dl_to_pred(acc)
-
-    def _box_to_dl(self, box):
-        axis0 = self.components[0]
-        rest = self._rest_algebra
-        if rest.kind == "product":
-            rest_pred = rest._norm_boxes((tuple(box[1:]),))
-        else:
-            rest_pred = box[1]
-        cuts = {axis0.min_char()}
-        for lo, hi in box[0].ivs:
-            cuts.add(lo)
-            if hi is not None:
-                cuts.add(hi)
-        entries = []
-        for c in sorted(cuts):
-            entries.append((c, rest_pred if member(box[0], c) else rest.bottom()))
-        return _dl_compress(entries)
-
 
 def member(phi: Predicate, a) -> bool:
     """True iff ``a``, already normalized by ``norm_char``, is in ``phi``."""
@@ -618,21 +557,25 @@ def _first_match_node(axes, items, values):
     """
     if not axes:
         return values[items[0][0]] if items else None
-    axis = axes[0]
-    cuts = {axis.min_char()}
-    for _, box in items:
-        for lo, hi in box[0].ivs:
-            cuts.add(lo)
-            if hi is not None:
-                cuts.add(hi)
     out_cuts, out_vals = [], []
-    for c in sorted(cuts):
+    for c in _cuts(axes[0], (box[0] for _, box in items)):
         node = _first_match_node(
             axes[1:], [(i, box[1:]) for i, box in items if member(box[0], c)], values)
         if not out_vals or out_vals[-1] != node:
             out_cuts.append(c)
             out_vals.append(node)
     return tuple(out_cuts), tuple(out_vals)
+
+
+def _cuts(axis: Algebra, comps) -> list:
+    """The minimum of ``axis`` and every endpoint of its 1-D predicates ``comps``, ascending."""
+    cuts = {axis.min_char()}
+    for comp in comps:
+        for lo, hi in comp.ivs:
+            cuts.add(lo)
+            if hi is not None:
+                cuts.add(hi)
+    return sorted(cuts)
 
 
 # -- 1-D interval helpers ----------------------------------------------------

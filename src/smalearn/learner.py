@@ -53,14 +53,14 @@ def build_evidence(table: ObservationTable) -> ConcreteMealy:
     return ConcreteMealy(table.sigma_e, len(table.S), 0, table.gamma, delta)
 
 
-def sep_pred(evidence: ConcreteMealy, algebra: Algebra, partition=None, memo=None) -> SMealy:
+def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
     """Generalize evidence characters into predicates, one state at a time.
 
     For each state the alphabet is grouped by (successor, output) and
     partitioned with the layout ``state_partitions`` fixes, which also
     explains ``memo``.
     """
-    partition = partition or partitioner_for(algebra)
+    partition = partitioner_for(algebra)
     transitions = []
     for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition, memo):
         for (target, output), pred in pairs:
@@ -87,16 +87,15 @@ def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMe
                 raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
 
 
-def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
+def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
           trace=None) -> tuple[SMealy, LearnStats]:
     """Identify the teacher's hidden machine; returns it with run statistics.
 
     Each state's predicates are kept from round to round while its sample
-    groups only grow inside them, so a custom ``partition`` must be stable
-    (see ``smalearn.partition``).
+    groups only grow inside them, which the partitioning functions' stability
+    allows (see ``smalearn.partition``).
     """
     start = time.perf_counter()
-    partition = partition or partitioner_for(algebra)
     memo = {}  # evidence state -> its groups and predicates, see state_partitions
     if a0 is None:
         a0 = algebra.min_char()
@@ -120,7 +119,7 @@ def learn(oracle, algebra: Algebra, partition=None, a0=None, max_rounds=None,
             emit(lambda: {"event": "repair", "kind": defect.kind,
                           "witness": defect.witness, "table": table.snapshot()})
         evidence = build_evidence(table)
-        hyp = sep_pred(evidence, algebra, partition, memo)
+        hyp = sep_pred(evidence, algebra, memo)
         _check_hypothesis(table, evidence, hyp)
         emit(lambda: {"event": "hypothesis", "states": hyp.n_states,
                       "sigma_e": tuple(table.sigma_e)})

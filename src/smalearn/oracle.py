@@ -47,11 +47,10 @@ def essential_characters(target: SMealy) -> list:
     return sorted(chars)
 
 
-def check_partition_reconstruction(target: SMealy, chars, partition=None):
+def check_partition_reconstruction(target: SMealy, chars):
     """Verify the partitioning function rebuilds every state's partition."""
     alg = target.algebra
-    partition = partition or partitioner_for(alg)
-    for q, pairs in state_partitions(target, chars, alg, partition):
+    for q, pairs in state_partitions(target, chars, alg, partitioner_for(alg)):
         guards = {(tr.target, tr.output): tr.guard for tr in target.state_transitions(q)}
         for key, pred in pairs:
             expected = guards.get(key, alg.bottom())
@@ -103,17 +102,14 @@ class OutputOracle:
 class EquivOracle:
     """Exact equivalence; counterexamples use essential characters only."""
 
-    def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None,
-                 essential=None, check: bool = True, partition=None):
+    def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None):
         if mode not in ("lexmin", "random"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         self.target = target
         self.mode = mode
         self.rng = random.Random(seed)
-        self.essential = list(essential) if essential is not None \
-            else essential_characters(target)
-        if check:
-            check_partition_reconstruction(target, self.essential, partition)
+        self.essential = essential_characters(target)
+        check_partition_reconstruction(target, self.essential)
         self._restricted = restrict(target, self.essential)
         self.queries = 0
 
@@ -230,16 +226,14 @@ def _product_graph(hyp: ConcreteMealy, tgt: ConcreteMealy):
 class Oracle:
     """Composite teacher: output queries plus equivalence queries."""
 
-    def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None,
-                 check: bool = True, partition=None):
+    def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None):
         violations = target.validate()
         if violations:
             raise ValueError("target automaton is invalid: "
                              + "; ".join(str(v) for v in violations))
         self.target = target
         self.output = OutputOracle(target)
-        self.equiv = EquivOracle(target, mode=mode, seed=seed, check=check,
-                                 partition=partition)
+        self.equiv = EquivOracle(target, mode=mode, seed=seed)
 
     @property
     def essential(self):

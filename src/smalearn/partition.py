@@ -7,10 +7,7 @@ deterministic and *stable*: enlarging each sample set within its own output
 predicate does not change the result.  Stability is what lets a learner keep
 refining sample sets without invalidating predicates it already inferred,
 and ``learn`` relies on it: a state keeps its predicates from round to round
-while its groups only grow inside them.  A custom ``partition=`` must
-therefore be stable too, give bottom to every empty group but the first, and
-return the same predicates when empty groups are inserted after the first
-(new states and outputs add such groups to the layout).
+while its groups only grow inside them.
 """
 
 from __future__ import annotations
@@ -96,20 +93,13 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
     tuple order).  The first sample's group takes the whole domain; every
     later sample landing in a foreign group's region moves the intersection
     of its upward cone with that region into its own group.  A sample inside
-    its own group's region changes nothing, which gives stability, and at
-    arity 1 the construction coincides with the interval sweep.
+    its own group's region changes nothing, which gives stability.
     """
     if algebra.kind != "product":
         raise AlgebraError(f"partition_product needs a product algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
     k = len(groups)
     axes = algebra.components
-    if algebra.arity == 1:
-        flat = [[a[0] for a in normd.get(i, ())] for i in range(k)]
-        inner = partition_intervals(axes[0], flat)
-        bottom = algebra.bottom()
-        return [bottom if p.is_false() else algebra.from_boxes([(p,)]) for p in inner]
-
     items = sorted(((a, i) for i, g in normd.items() for a in g),
                    key=lambda t: (sum(t[0]), t[0]))
     bottom = algebra.bottom()

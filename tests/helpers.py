@@ -5,7 +5,16 @@ import random
 
 from hypothesis import strategies as st
 
-from smalearn.algebra import INTERVAL_KINDS, Algebra, AlgebraError, flat_boxes
+from smalearn.algebra import (
+    INTERVAL_KINDS,
+    Algebra,
+    AlgebraError,
+    Predicate,
+    _dl_compress,
+    _dl_op,
+    flat_boxes,
+    member,
+)
 from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key
 from smalearn.obstable import COHESIVE, Defect
 from smalearn.oracle import essential_characters
@@ -178,6 +187,17 @@ def guards(alg):
                          st.booleans()).filter(lambda p: not p.is_false())
     box = st.tuples(*(axis_unions(axis) for axis in alg.components))
     return st.lists(box, min_size=1, max_size=3).map(alg.from_boxes)
+
+
+@st.composite
+def raw_boxes(draw, alg):
+    """Unnormalized box lists of product ``alg``: overlapping, repeated, with
+    empty components, or none at all."""
+    comps = [st.one_of(axis_unions(axis), st.just(axis.bottom())) for axis in alg.components]
+    boxes = draw(st.lists(st.tuples(*comps), max_size=4))
+    if boxes:
+        boxes += draw(st.lists(st.sampled_from(boxes), max_size=2))
+    return draw(st.permutations(boxes))
 
 
 def _disjoint_cover(alg, preds):
@@ -438,3 +458,43 @@ class FullTableSearch:
             if not frontier:
                 return None
         return None
+
+
+# -- reference product normalization -------------------------------------------
+
+
+def norm_boxes_box_by_box(alg: Algebra, raw_boxes) -> Predicate:
+    """Product normalization as a join of one box at a time, for differential tests.
+
+    This and ``_box_to_dl`` are the normalization behind ``Algebra.from_boxes``
+    (``_norm_boxes`` and ``_box_to_dl`` at arity >= 2) as it was before all
+    boxes were cut in one pass, copied verbatim but for two things: the empty
+    start is written out rather than computed by ``_pred_to_dl``, and
+    products over the remaining axes recurse into this reference.
+    """
+    rest = alg._rest_algebra
+    acc = ((alg.components[0].min_char(), rest.bottom()),)
+    for box in raw_boxes:
+        if any(c.is_false() for c in box):
+            continue
+        single = _box_to_dl(alg, box)
+        acc = _dl_op(alg, acc, single, "join")
+    return alg._dl_to_pred(acc)
+
+
+def _box_to_dl(alg: Algebra, box):
+    axis0 = alg.components[0]
+    rest = alg._rest_algebra
+    if rest.kind == "product":
+        rest_pred = norm_boxes_box_by_box(rest, (tuple(box[1:]),))
+    else:
+        rest_pred = box[1]
+    cuts = {axis0.min_char()}
+    for lo, hi in box[0].ivs:
+        cuts.add(lo)
+        if hi is not None:
+            cuts.add(hi)
+    entries = []
+    for c in sorted(cuts):
+        entries.append((c, rest_pred if member(box[0], c) else rest.bottom()))
+    return _dl_compress(entries)

@@ -2,7 +2,14 @@ import math
 import random
 
 import pytest
-from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, guards
+from helpers import (
+    GUARD_ALGEBRAS,
+    domain_chars,
+    endpoint_grid,
+    guards,
+    norm_boxes_box_by_box,
+    raw_boxes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +139,14 @@ def test_product_basics():
     assert alg.witness(alg.box((1, None), (0, 5))) != ()
     prod_box = Algebra.product(Algebra.naturals(), Algebra.naturals()).box((10, 20), (0, 5))
     assert Algebra.product(Algebra.naturals(), Algebra.naturals()).witness(prod_box) == (10, 0)
+
+
+def test_product_needs_at_least_two_axes():
+    for components in [(), (NAT,), (REAL,)]:
+        with pytest.raises(AlgebraError, match="product arity must be >= 2"):
+            Algebra.product(*components)
+    with pytest.raises(AlgebraError, match="product arity must be >= 2"):
+        Algebra.from_json({"kind": "product", "components": [{"kind": "interval-nat"}]})
 
 
 def test_product_meet_join_complement_by_enumeration():
@@ -304,6 +319,16 @@ def test_product_boolean_laws_and_kept_views(kind, data):
         assert alg._pred_to_dl(copy) == dl  # the kept view is the one a fresh pass computes
         assert alg._dl_to_pred(dl) == r
         assert alg._pred_to_dl(memo_free(alg._dl_to_pred(dl))) == dl
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["product-2", "product-3"]), st.data())
+def test_normalization_matches_box_by_box_join(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    raw = data.draw(raw_boxes(alg))
+    got, want = alg.from_boxes(raw), norm_boxes_box_by_box(alg, raw)
+    assert got == want  # box order included
+    assert got.__dict__["_dl"][1] == want.__dict__["_dl"][1]
 
 
 def test_kept_view_is_recomputed_under_another_algebra():

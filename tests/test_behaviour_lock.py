@@ -6,6 +6,9 @@ Its record must match exactly, so a change that moves any of these numbers
 shows up here.  ``cex_digest`` hashes the counterexamples in the order they
 were served, as the benchmark harness does.  Running this file as a script
 prints the records of the current code in the file's format.
+
+``SERIALIZATION_DIGESTS`` locks the JSON form of builtin and learned
+machines, guards in their box order included.
 """
 
 import hashlib
@@ -82,6 +85,31 @@ def record(case) -> dict:
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_behaviour_matches_lock(case):
     assert record(case) == case["expect"]
+
+
+# (builtin name or random spec, teacher mode or None for the builtin itself,
+# oracle seed) -> sha256(json.dumps(machine.to_json(), sort_keys=True))[:16]
+SERIALIZATION_DIGESTS = [
+    ("mh", None, None, "611abb6cf6442639"),
+    ("atgs", None, None, "92aa2ed7d414699b"),
+    ("worked-example", None, None, "2eeba16b676ff44a"),
+    ("lower:5,10", None, None, "9177e8927814e85f"),
+    ("mh", "lexmin", None, "d5b961ce74cde16a"),
+    ("mh", "random", 1, "d5b961ce74cde16a"),
+    ("mh", "random", 2, "7b0bea0760d66222"),
+    ("mh", "random", 3, "d5b961ce74cde16a"),
+    ({"random": [10, 10, 1]}, "random", 1, "9b027c2543799f32"),
+]
+
+
+@pytest.mark.parametrize("spec,mode,seed,digest", SERIALIZATION_DIGESTS,
+                         ids=lambda v: json.dumps(v) if isinstance(v, dict) else str(v))
+def test_serialization_matches_lock(spec, mode, seed, digest):
+    machine = build_target(spec)
+    if mode is not None:
+        machine, _ = learner.learn(Oracle(machine, mode=mode, seed=seed), machine.algebra)
+    text = json.dumps(machine.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 if __name__ == "__main__":

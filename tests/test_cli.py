@@ -194,6 +194,8 @@ BAD_FILES = {
     "non-utf8": b'\xff\xfe{"states": 1}',
     "algebra-number": machine_json(5).encode(),
     "component-number": machine_json({"kind": "product", "components": [5]}).encode(),
+    "product-one-axis": machine_json({"kind": "product",
+                                      "components": [{"kind": "interval-nat"}]}).encode(),
     "real-min-nan": machine_json({"kind": "interval-real", "min": float("nan")}).encode(),
     "real-min-minus-inf": machine_json({"kind": "interval-real", "min": float("-inf")}).encode(),
     "nat-bound-fraction": machine_json({"kind": "interval-nat", "bound": 2.5}).encode(),

@@ -251,10 +251,10 @@ def fresh_partition_every_round():
     reused = []
     sep_pred_memo, grows_inside = learner.sep_pred, automata._grows_inside
 
-    def checked(evidence, algebra, partition=None, memo=None):
+    def checked(evidence, algebra, memo=None):
         assert memo is not None
-        hyp = sep_pred_memo(evidence, algebra, partition, memo)
-        fresh = sep_pred_memo(evidence, algebra, partition)
+        hyp = sep_pred_memo(evidence, algebra, memo)
+        fresh = sep_pred_memo(evidence, algebra)
         assert hyp == fresh
         return hyp
 

@@ -76,15 +76,6 @@ def test_equality_examples():
     assert preds[0] == EQ.complement(EQ.eq_chars({b, d}))
 
 
-def test_product_arity1_reduces_to_intervals():
-    alg = Algebra.product(Algebra.naturals())
-    groups = [{(2,), (7,), (10,)}, {(5,)}]
-    preds = partition_product(alg, groups)
-    flat = partition_intervals(NAT, [{2, 7, 10}, {5}])
-    for p, f in zip(preds, flat):
-        assert p.boxes == ((f,),)
-
-
 def test_product_two_singletons_split_first_axis():
     alg = Algebra.product(Algebra.naturals(bound=2), Algebra.naturals())
     preds = partition_product(alg, [{(0, 0)}, {(1, 0)}])
