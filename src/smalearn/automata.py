@@ -87,8 +87,11 @@ class SMealy:
         for tr in self.transitions:
             by_state.setdefault(tr.source, []).append(tr)
         # states without transitions share one empty tuple and one empty lookup
-        self._by_state = [()] * n_states
-        self._find = [algebra.first_match([], [])] * n_states
+        try:
+            self._by_state = [()] * n_states
+            self._find = [algebra.first_match([], [])] * n_states
+        except (OverflowError, MemoryError) as exc:
+            raise AutomatonError(f"cannot hold {n_states} states: {exc!r}") from exc
         for q, trs in by_state.items():
             self._by_state[q] = tuple(trs)
             self._find[q] = algebra.first_match([tr.guard for tr in trs],

@@ -71,20 +71,39 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
 
 
 def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMealy):
-    """Symbolic compatibility: the hypothesis reproduces every table cell."""
+    """Symbolic compatibility: the hypothesis reproduces every table cell.
+
+    A column's output from an evidence state does not depend on the word
+    that reached it, so each state's outputs over ``table.columns()`` are
+    computed once, as one tuple, and every word's row is compared with the
+    tuple of its state.  Each word's state is one step from its prefix's:
+    the word set is prefix-closed, so in shortlex order every prefix comes
+    first.  Words are compared in ``table.words()`` order and a mismatch
+    names the first differing column in table order.
+    """
     if restrict(hyp, table.sigma_e) != evidence:
         raise LearningError("hypothesis restricted to sigma_e differs from the evidence")
     step = evidence.step
-    for w in table.words():
-        q = evidence.initial
-        for a in w:  # each word is run once; every column continues from its state
-            q, _ = step(q, a)
-        for col in table.columns():
+    columns = table.columns()
+
+    def outputs(q):
+        out = []
+        for col in columns:
             p = q
             for a in col:
-                p, out = step(p, a)
-            if out != table.cell(w, col):
-                raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
+                p, o = step(p, a)
+            out.append(o)
+        return tuple(out)
+
+    expected = [outputs(q) for q in range(evidence.n_states)]
+    state = {(): evidence.initial}
+    for w in table._sorted_words[1:]:
+        state[w] = step(state[w[:-1]], w[-1])[0]
+    for w in table.words():
+        row, want = table.row(w), expected[state[w]]
+        if row != want:
+            col = next(col for col, cell, out in zip(columns, row, want) if cell != out)
+            raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
 
 
 def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,

@@ -25,16 +25,32 @@ changes instead of rebuilding them on every :func:`check`:
 * the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
   ``(row(p), a)``, each group in shortlex order with its cached
   inconsistency witness.  A new row marks only its own group for
-  re-examination.
+  re-examination;
+* the unclosed heap: ``(shortlex_key(r), r)`` for the ``R`` words whose
+  row is not an ``S`` row.  A new ``R`` word is pushed when its row is not
+  among the ``S`` rows;
+* the evidence-gap heap: ``(shortlex_key(s·a), s, a)`` for ``s`` in ``S``
+  and ``a`` in ``sigma_e``.  A new ``S`` word pushes one entry per
+  ``sigma_e`` character, and a new ``sigma_e`` character one entry per
+  ``S`` word.
 
-A new column changes every row, so it drops the ``S``-row set and the
-groups; the next :func:`check` rebuilds them.
+Both heaps are lazy: an entry stays until it reaches the top and is popped
+there once it is dead, that is once ``row(r)`` is an ``S`` row (which also
+covers ``r`` moved to ``S``) or ``s·a`` is in ``S ∪ R``.  Between two
+columns, rows do not change and the ``S``-row set and the word set only
+grow, so a dead entry never comes back to life, and the live top is the
+shortlex-least witness a full rescan would find.
+
+A new column changes every row, so it drops the ``S``-row set, the
+unclosed heap and the groups; the next :func:`check` rebuilds them.  The
+evidence-gap heap does not read rows and is never rebuilt.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .algebra import Algebra
 from .automata import shortlex_key
@@ -77,6 +93,8 @@ class ObservationTable:
         self._sorted_columns = [(a0,)]
         self._row_cache = {}
         self._s_rows = None  # rows of S; None until the next check after a column
+        self._unclosed = None  # heap of (shortlex key, r), rebuilt with _s_rows
+        self._gaps = []  # heap of (shortlex key of s·a, s, a); ε·a0 is in R from the start
         self._groups = None  # (row(p), a) -> prefixes p of words p·a, shortlex order
         self._witnesses = {}  # group -> (sort key, witness), inconsistent groups only
         self._dirty = set()  # groups to re-examine
@@ -109,7 +127,7 @@ class ObservationTable:
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
         self._sorted_columns = sorted(self._columns, key=shortlex_key)
-        self._s_rows = self._groups = None
+        self._s_rows = self._unclosed = self._groups = None
         for w in self.words():
             self._ask(w, col)
         i = self._columns.index(col)  # a new sigma_e column goes in before E
@@ -171,24 +189,22 @@ class ObservationTable:
         return None
 
     def _find_unclosed(self):
-        if self._s_rows is None:
-            self._s_rows = {self.row(s) for s in self.S}
-        for r in self._sorted_R:
-            if self.row(r) not in self._s_rows:
-                return Defect("not_closed", (r,))
-        return None
+        s_rows = self._s_rows
+        if s_rows is None:
+            s_rows = self._s_rows = {self.row(s) for s in self.S}
+            # a list in shortlex order is already a heap
+            self._unclosed = [(shortlex_key(r), r) for r in self._sorted_R
+                              if self.row(r) not in s_rows]
+        heap = self._unclosed
+        while heap and self.row(heap[0][1]) in s_rows:
+            heappop(heap)
+        return Defect("not_closed", (heap[0][1],)) if heap else None
 
     def _find_evidence_gap(self):
-        words = self._words
-        best = None
-        for s in self.S:
-            for a in self.sigma_e:
-                w = s + (a,)
-                if w not in words and (best is None or shortlex_key(w) < shortlex_key(best[0])):
-                    best = (w, s, a)
-        if best is None:
-            return None
-        return Defect("not_evidence_closed", (best[1], best[2]))
+        heap, words = self._gaps, self._words
+        while heap and heap[0][1] + (heap[0][2],) in words:
+            heappop(heap)
+        return Defect("not_evidence_closed", heap[0][1:]) if heap else None
 
     def _find_output_gap(self):
         known = set(self.sigma_e)
@@ -220,6 +236,8 @@ class ObservationTable:
         self.S.append(r)
         if self._s_rows is not None:
             self._s_rows.add(self.row(r))
+        for a in self.sigma_e:
+            heappush(self._gaps, (shortlex_key(r + (a,)), r, a))
 
     def make_consistent(self, defect: Defect):
         _, _, a, e = defect.witness
@@ -238,6 +256,8 @@ class ObservationTable:
         if a in self.sigma_e:
             raise ValueError(f"{a} already in sigma_e")
         self.sigma_e.append(a)
+        for s in self.S:
+            heappush(self._gaps, (shortlex_key(s + (a,)), s, a))
         self._add_column((a,))
 
     def add_counterexample(self, cex):
@@ -255,6 +275,8 @@ class ObservationTable:
             self._words.add(w)
             insort(self._sorted_words, w, key=shortlex_key)
             insort(self._sorted_R, w, key=shortlex_key)
+            if self._s_rows is not None and self.row(w) not in self._s_rows:
+                heappush(self._unclosed, (shortlex_key(w), w))
             if self._groups is not None:
                 group = (self.row(w[:-1]), w[-1])
                 insort(self._groups.setdefault(group, []), w[:-1], key=shortlex_key)

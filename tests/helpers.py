@@ -16,7 +16,8 @@ from smalearn.algebra import (
     member,
 )
 from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key
-from smalearn.obstable import COHESIVE, Defect
+from smalearn.learner import LearningError
+from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import essential_characters
 
 NAT = Algebra.naturals()
@@ -354,6 +355,32 @@ class RescanTable:
             if w and w[-1] not in known:
                 return Defect("not_output_closed", (w[:-1], w[-1]))
         return None
+
+
+# -- reference hypothesis check --------------------------------------------------
+
+
+def check_hypothesis_per_word(table: ObservationTable, evidence: ConcreteMealy, hyp: SMealy):
+    """The learner's hypothesis check as a walk of every column from every word,
+    for differential tests.
+
+    This is ``smalearn.learner._check_hypothesis`` as it was before it
+    computed one output tuple per evidence state, copied verbatim (under
+    another name).  It reads cells, not the table's row cache.
+    """
+    if restrict(hyp, table.sigma_e) != evidence:
+        raise LearningError("hypothesis restricted to sigma_e differs from the evidence")
+    step = evidence.step
+    for w in table.words():
+        q = evidence.initial
+        for a in w:  # each word is run once; every column continues from its state
+            q, _ = step(q, a)
+        for col in table.columns():
+            p = q
+            for a in col:
+                p, out = step(p, a)
+            if out != table.cell(w, col):
+                raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
 
 
 # -- reference random equivalence search ---------------------------------------

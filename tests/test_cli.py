@@ -183,9 +183,9 @@ def test_reps_below_one_rejected(tmp_path, capsys, reps):
     assert not out.exists()
 
 
-def machine_json(algebra, intervals=([0, None],)):
-    """One state with one self-loop per 1-D interval, all answering ``a``."""
-    return json.dumps({"algebra": algebra, "states": 1, "initial": 0, "outputs": ["a"],
+def machine_json(algebra, intervals=([0, None],), states=1):
+    """State 0 with one self-loop per 1-D interval, all answering ``a``."""
+    return json.dumps({"algebra": algebra, "states": states, "initial": 0, "outputs": ["a"],
                        "transitions": [{"from": 0, "guard": [[iv]], "to": 0, "out": "a"}
                                        for iv in intervals]})
 
@@ -203,6 +203,7 @@ BAD_FILES = {
     "nat-upper-string": machine_json({"kind": "interval-nat"}, ([0, "5"], [5, None])).encode(),
     "real-upper-nan": machine_json({"kind": "interval-real"},
                                    ([0, float("nan")], [5, None])).encode(),
+    "states-huge": machine_json({"kind": "interval-nat"}, states=10 ** 30).encode(),
 }
 
 

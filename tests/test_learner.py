@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -16,7 +17,7 @@ from smalearn.bench import (
     random_sma,
 )
 from smalearn.learner import LearningError, build_evidence, learn, sep_pred
-from smalearn.obstable import ObservationTable
+from smalearn.obstable import Defect, ObservationTable
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
 
 NAT = Algebra.naturals()
@@ -28,6 +29,7 @@ from helpers import (
     GOLDEN_TABLES,
     RescanTable,
     as_snapshot,
+    check_hypothesis_per_word,
 )
 
 
@@ -207,11 +209,29 @@ def assert_table_consistent(table):
     assert table._sorted_columns == sorted(table.columns(), key=shortlex_key)
     if table._s_rows is not None:
         assert table._s_rows == {table.row(s) for s in table.S}
+        assert_heap(table._unclosed, lambda r: r)
+        assert unclosed_words(table) == {r for r in table.R if table.row(r) not in table._s_rows}
+    assert_heap(table._gaps, lambda s, a: s + (a,))
+    live = {(s, a) for _, s, a in table._gaps if s + (a,) not in words}
+    assert live == {(s, a) for s in table.S for a in table.sigma_e if s + (a,) not in words}
     if table._groups is not None:
         groups = {}
         for w in sorted(words - {()}, key=shortlex_key):
             groups.setdefault((table.row(w[:-1]), w[-1]), []).append(w[:-1])
         assert table._groups == groups
+
+
+def unclosed_words(table):
+    """The live entries of the unclosed heap."""
+    return {r for _, r in table._unclosed if table.row(r) not in table._s_rows}
+
+
+def assert_heap(heap, word_of):
+    """Each entry is keyed by the shortlex key of its word, and ``heap`` is a heap."""
+    for key, *rest in heap:
+        assert key == shortlex_key(word_of(*rest))
+    for i in range(1, len(heap)):
+        assert heap[(i - 1) // 2] <= heap[i]
 
 
 def assert_check_matches_rescan(table):
@@ -225,7 +245,7 @@ def assert_check_matches_rescan(table):
     (random_sma(RandomSpec(n=20, k=10, seed=5)), "random", 11),
 ], ids=["worked-example", "lower:3,3", "mh-random", "nat-20-random"])
 def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
-    changes = []
+    changes, checks = [], []
     for name in ("repair", "add_counterexample"):
         original = getattr(ObservationTable, name)
 
@@ -236,9 +256,70 @@ def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
             changes.append(arg)
 
         monkeypatch.setattr(ObservationTable, name, checked)
+    check = learner._check_hypothesis
+
+    def both_checks(table, evidence, hyp):
+        check_hypothesis_per_word(table, evidence, hyp)
+        check(table, evidence, hyp)
+        checks.append(hyp)
+
+    monkeypatch.setattr(learner, "_check_hypothesis", both_checks)
     learned, stats = learn(Oracle(target, mode=mode, seed=seed), target.algebra)
     assert symbolic_equiv(learned, target) is None
     assert len(changes) > stats.eq_queries
+    assert len(checks) == stats.eq_queries
+
+
+@contextmanager
+def corrupted(table, cells):
+    """Flip ``cells`` to an output no cell has, then restore them."""
+    saved = {c: table.cells[c] for c in cells}
+    for w, col in cells:
+        table.cells[(w, col)] += "!"
+        table._row_cache.pop(w, None)
+    try:
+        yield
+    finally:
+        table.cells.update(saved)
+        for w, _ in cells:
+            table._row_cache.pop(w, None)
+
+
+@pytest.mark.parametrize("target,mode,seed", [
+    (make_worked_example(), "lexmin", None),
+    (make_lower_bound(3, 3), "lexmin", None),
+    (make_mh(), "random", 3),
+], ids=["worked-example", "lower:3,3", "mh-random"])
+def test_corrupted_cells_fail_both_hypothesis_checks_alike(monkeypatch, target, mode, seed):
+    """In every round, one or two corrupted cells make the per-state check and
+    the per-word reference raise the same message."""
+    rng = random.Random(7)
+    check, rounds = learner._check_hypothesis, []
+
+    def failures(table, evidence, hyp):
+        messages = []
+        for checker in (check_hypothesis_per_word, check):
+            with pytest.raises(LearningError) as info:
+                checker(table, evidence, hyp)
+            messages.append(str(info.value))
+        return messages
+
+    def checked(table, evidence, hyp):
+        cells = [(w, col) for w in table.words() for col in table.columns()]
+        for w, col in rng.sample(cells, min(8, len(cells))):
+            with corrupted(table, {(w, col)}):
+                expected = f"evidence machine contradicts cell ({w}, {col})"
+                assert failures(table, evidence, hyp) == [expected, expected]
+            with corrupted(table, {(w, col), rng.choice(cells)}):
+                reference, message = failures(table, evidence, hyp)
+                assert message == reference
+        check(table, evidence, hyp)
+        rounds.append(hyp)
+
+    monkeypatch.setattr(learner, "_check_hypothesis", checked)
+    learned, stats = learn(Oracle(target, mode=mode, seed=seed), target.algebra)
+    assert symbolic_equiv(learned, target) is None
+    assert len(rounds) == stats.eq_queries
 
 
 @contextmanager
@@ -320,3 +401,40 @@ def test_defect_search_matches_rescan(n, k, seed, steps):
             table.repair(defect)
             assert_table_consistent(table)
     assert_check_matches_rescan(table)
+
+
+def test_one_make_closed_closes_every_r_row_sharing_the_row():
+    """Every non-empty word has the row ("b",), the empty word ("a",).  (0,) is
+    unclosed at the first check; the words added after it are pushed onto the
+    unclosed heap, (1,) below entries of longer words.  Moving (0,) to S
+    closes them all at once."""
+    table = ObservationTable(NAT, lambda w: "a" if len(w) == 1 else "b", 0)
+    assert table.check() == Defect("not_closed", ((0,),))
+    for cex in ((5, 5), (5, 6), (1,)):
+        table.add_counterexample(cex)
+        assert_table_consistent(table)
+    assert unclosed_words(table) == {(0,), (1,), (5,), (5, 5), (5, 6)}
+    defect = table.check()
+    assert defect == RescanTable(table).check() == Defect("not_closed", ((0,),))
+    table.repair(defect)
+    assert_table_consistent(table)
+    assert unclosed_words(table) == set()
+    assert table.check() == RescanTable(table).check() == Defect("not_evidence_closed",
+                                                                 ((0,), 0))
+
+
+def test_new_sigma_e_character_opens_a_gap_per_s_word():
+    table = ObservationTable(NAT, make_worked_example().run, 0)
+    table.add_counterexample((0, 0, 0))
+    drive_to_cohesion(table)
+    assert len(table.S) == 4 and 5 not in table.sigma_e
+    table.make_output_closed(Defect("not_output_closed", ((), 5)))
+    assert_table_consistent(table)
+    gaps = sorted((s + (5,) for s in table.S), key=shortlex_key)
+    filled = []
+    while (defect := table._find_evidence_gap()) is not None:
+        assert defect == RescanTable(table)._find_evidence_gap()
+        filled.append(defect.witness[0] + (defect.witness[1],))
+        table.repair(defect)
+        assert_table_consistent(table)
+    assert filled == gaps
