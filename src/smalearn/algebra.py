@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -270,7 +270,9 @@ class Algebra:
         incomplete guard lists keep first-match semantics.  Interval and
         product guards become sorted cut lists (nested one level per axis)
         searched with ``bisect_right``; every cut list starts at the axis
-        minimum and each segment holds the answer for its lower point.
+        minimum and each segment holds the answer for its lower point.  The
+        tables are built in one pass over the guards: each interval is
+        assigned to the range of segments between its endpoints' cuts.
         Equality guards become a dict of explicit characters plus a default.
         """
         for phi in guards:
@@ -554,13 +556,21 @@ def _first_match_node(axes, items, values):
     segment each item either contains every point or none; the segment's
     entry is the table of the items containing its lower point over the
     remaining axes, and at the last axis the value of the first such item.
+    Item by item, each interval ``[lo, hi)`` of its first component joins
+    the segments from cut ``lo`` up to cut ``hi`` (all the rest if unbounded).
     """
     if not axes:
         return values[items[0][0]] if items else None
+    cuts = _cuts(axes[0], (box[0] for _, box in items))
+    holders = [[] for _ in cuts]
+    for i, box in items:
+        for lo, hi in box[0].ivs:
+            end = len(cuts) if hi is None else bisect_left(cuts, hi)
+            for k in range(bisect_left(cuts, lo), end):
+                holders[k].append((i, box[1:]))
     out_cuts, out_vals = [], []
-    for c in _cuts(axes[0], (box[0] for _, box in items)):
-        node = _first_match_node(
-            axes[1:], [(i, box[1:]) for i, box in items if member(box[0], c)], values)
+    for c, held in zip(cuts, holders):
+        node = _first_match_node(axes[1:], held, values)
         if not out_vals or out_vals[-1] != node:
             out_cuts.append(c)
             out_vals.append(node)

@@ -13,7 +13,14 @@ import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgebraError, Predicate, format_char, format_predicate
+from .algebra import (
+    INTERVAL_KINDS,
+    Algebra,
+    AlgebraError,
+    Predicate,
+    format_char,
+    format_predicate,
+)
 
 
 class AutomatonError(ValueError):
@@ -135,12 +142,9 @@ class SMealy:
         alg = self.algebra
         for q in range(self.n_states):
             trs = self._by_state[q]
-            for i, t1 in enumerate(trs):
-                for t2 in trs[i + 1:]:
-                    if (t1.target, t1.output) == (t2.target, t2.output):
-                        continue
-                    if not alg.is_empty(alg.meet(t1.guard, t2.guard)):
-                        violations.append(Violation(q, "overlap", (t1.guard, t2.guard)))
+            # transitions of one state differ in (target, output): equal ones are merged
+            violations.extend(Violation(q, "overlap", (trs[i].guard, trs[j].guard))
+                              for i, j in _overlapping_pairs(alg, trs))
             covered = alg.union(*(t.guard for t in trs)) if trs else alg.bottom()
             uncovered = alg.complement(covered)
             if not alg.is_empty(uncovered):
@@ -223,6 +227,29 @@ class SMealy:
             lines.append(f'  q{t.source} -> q{t.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _overlapping_pairs(alg: Algebra, trs):
+    """Ascending index pairs ``(i, j)``, ``i < j``, of the transitions whose guards meet.
+
+    1-D intervals are swept by lower endpoint, keeping those still open;
+    product guards are met pairwise.
+    """
+    if alg.kind not in INTERVAL_KINDS:
+        return [(i, j) for i, t1 in enumerate(trs) for j in range(i + 1, len(trs))
+                if not alg.is_empty(alg.meet(t1.guard, trs[j].guard))]
+    pairs, active = set(), []
+    for lo, hi, j in _sorted_intervals(trs):
+        active = [(h, i) for h, i in active if h is None or lo < h]
+        pairs.update((min(i, j), max(i, j)) for _, i in active)
+        active.append((hi, j))
+    return sorted(pairs)
+
+
+def _sorted_intervals(trs):
+    """``(lo, hi, i)`` for each interval of the 1-D guard ``trs[i].guard``, ascending by ``lo``."""
+    return sorted(((lo, hi, i) for i, t in enumerate(trs) for lo, hi in t.guard.ivs),
+                  key=lambda iv: iv[0])
 
 
 def _state_number(v, what):
@@ -353,30 +380,76 @@ def _grows_inside(algebra: Algebra, old_groups, old_preds, groups) -> bool:
 def symbolic_equiv(m1: SMealy, m2: SMealy):
     """None if the machines agree on every non-empty word, else a witness word.
 
+    Both machines must be deterministic: ``validate`` reports no overlap.
     Breadth-first product exploration: state pairs are expanded in FIFO
     order, transition pairs in canonical stored order, and each frontier
     character is the minimum of the meet of the two guards, so the witness
-    is deterministic.
+    is deterministic.  Product guards are met pairwise.  For 1-D guards,
+    each reached state's intervals are sorted once per call, and one merge
+    of two states' sorted lists gives every meeting transition pair with
+    the start of its first overlap, which is that minimum; a reached state
+    whose intervals overlap raises ``AutomatonError``.
     """
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
+    if alg.kind in INTERVAL_KINDS:
+        sorted1, sorted2 = {}, {}
+
+        def meeting(q1, q2):
+            if q1 not in sorted1:
+                sorted1[q1] = _disjoint_intervals(m1, q1)
+            if q2 not in sorted2:
+                sorted2[q2] = _disjoint_intervals(m2, q2)
+            trs1, trs2 = m1.state_transitions(q1), m2.state_transitions(q2)
+            for (i, j), a in _merge_intervals(sorted1[q1], sorted2[q2]):
+                yield trs1[i], trs2[j], a
+    else:
+        def meeting(q1, q2):
+            for t1 in m1.state_transitions(q1):
+                for t2 in m2.state_transitions(q2):
+                    both = alg.meet(t1.guard, t2.guard)
+                    if not alg.is_empty(both):
+                        yield t1, t2, alg.witness(both)
+
     start = (m1.initial, m2.initial)
     seen = {start: ()}
     queue = deque([start])
     while queue:
         q1, q2 = queue.popleft()
         prefix = seen[(q1, q2)]
-        for t1 in m1.state_transitions(q1):
-            for t2 in m2.state_transitions(q2):
-                both = alg.meet(t1.guard, t2.guard)
-                if alg.is_empty(both):
-                    continue
-                a = alg.witness(both)
-                if t1.output != t2.output:
-                    return prefix + (a,)
-                nxt = (t1.target, t2.target)
-                if nxt not in seen:
-                    seen[nxt] = prefix + (a,)
-                    queue.append(nxt)
+        for t1, t2, a in meeting(q1, q2):
+            if t1.output != t2.output:
+                return prefix + (a,)
+            nxt = (t1.target, t2.target)
+            if nxt not in seen:
+                seen[nxt] = prefix + (a,)
+                queue.append(nxt)
     return None
+
+
+def _disjoint_intervals(m: SMealy, q: int):
+    """``_sorted_intervals`` of state ``q``; AutomatonError when two of them overlap."""
+    ivs = _sorted_intervals(m.state_transitions(q))
+    for (_, hi, _), (lo, _, _) in zip(ivs, ivs[1:]):
+        if hi is None or lo < hi:
+            raise AutomatonError(f"state {q} has overlapping guards")
+    return ivs
+
+
+def _merge_intervals(ivs1, ivs2):
+    """``((i, j), a)``, ascending, for the indices of disjoint sorted ``(lo, hi, index)``
+    lists whose intervals meet; ``a`` is the lowest point they share."""
+    first = {}
+    i = j = 0
+    while i < len(ivs1) and j < len(ivs2):
+        lo1, hi1, t1 = ivs1[i]
+        lo2, hi2, t2 = ivs2[j]
+        lo = max(lo1, lo2)
+        if (hi1 is None or lo < hi1) and (hi2 is None or lo < hi2):
+            first.setdefault((t1, t2), lo)  # overlaps are met in ascending order
+        if hi1 is None or (hi2 is not None and hi2 < hi1):
+            j += 1
+        else:
+            i += 1
+    return sorted(first.items())

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -10,12 +11,13 @@ from smalearn.algebra import (
     Algebra,
     AlgebraError,
     Predicate,
+    _cuts,
     _dl_compress,
     _dl_op,
     flat_boxes,
     member,
 )
-from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key
+from smalearn.automata import ConcreteMealy, SMealy, Violation, restrict, shortlex_key
 from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import essential_characters
@@ -225,6 +227,15 @@ def sym_machines(draw, alg, valid=False):
         for p in preds:
             transitions.append((q, p, draw(st.integers(0, n - 1)), draw(st.sampled_from("xyz"))))
     return SMealy(alg, n, 0, [], transitions)
+
+
+@st.composite
+def mutants(draw, target):
+    """``target`` with one transition given another successor or output."""
+    trs = [(t.source, t.guard, t.target, t.output) for t in target.transitions]
+    i = draw(st.integers(0, len(trs) - 1))
+    trs[i] = trs[i][:2] + (draw(st.integers(0, target.n_states - 1)), draw(st.sampled_from("xyz")))
+    return SMealy(target.algebra, target.n_states, target.initial, [], trs)
 
 
 def endpoint_grid(alg, preds):
@@ -525,3 +536,77 @@ def _box_to_dl(alg: Algebra, box):
     for c in sorted(cuts):
         entries.append((c, rest_pred if member(box[0], c) else rest.bottom()))
     return _dl_compress(entries)
+
+
+# -- reference all-pairs guard work --------------------------------------------
+
+
+def symbolic_equiv_pairwise(m1: SMealy, m2: SMealy):
+    """Exact equivalence as a meet of every transition pair, for differential tests.
+
+    This is ``smalearn.automata.symbolic_equiv`` as it was before 1-D guards
+    were merged from sorted intervals, copied verbatim (under another name).
+    """
+    if m1.algebra != m2.algebra:
+        raise AlgebraError("equivalence across different algebras")
+    alg = m1.algebra
+    start = (m1.initial, m2.initial)
+    seen = {start: ()}
+    queue = deque([start])
+    while queue:
+        q1, q2 = queue.popleft()
+        prefix = seen[(q1, q2)]
+        for t1 in m1.state_transitions(q1):
+            for t2 in m2.state_transitions(q2):
+                both = alg.meet(t1.guard, t2.guard)
+                if alg.is_empty(both):
+                    continue
+                a = alg.witness(both)
+                if t1.output != t2.output:
+                    return prefix + (a,)
+                nxt = (t1.target, t2.target)
+                if nxt not in seen:
+                    seen[nxt] = prefix + (a,)
+                    queue.append(nxt)
+    return None
+
+
+def validate_pairwise(m: SMealy):
+    """Determinism and completeness violations from a meet of every guard pair.
+
+    This is ``SMealy.validate`` as it was before 1-D guards were swept in
+    sorted order, copied verbatim but for ``self`` becoming ``m``.
+    """
+    violations = []
+    alg = m.algebra
+    for q in range(m.n_states):
+        trs = m._by_state[q]
+        for i, t1 in enumerate(trs):
+            for t2 in trs[i + 1:]:
+                if (t1.target, t1.output) == (t2.target, t2.output):
+                    continue
+                if not alg.is_empty(alg.meet(t1.guard, t2.guard)):
+                    violations.append(Violation(q, "overlap", (t1.guard, t2.guard)))
+        covered = alg.union(*(t.guard for t in trs)) if trs else alg.bottom()
+        uncovered = alg.complement(covered)
+        if not alg.is_empty(uncovered):
+            violations.append(Violation(q, "incomplete", (uncovered,)))
+    return violations
+
+
+def first_match_node_by_member(axes, items, values):
+    """First-match table from a membership test of every item at every cut.
+
+    This is ``smalearn.algebra._first_match_node`` as it was before intervals
+    were assigned to ranges of segments, copied verbatim but for its name.
+    """
+    if not axes:
+        return values[items[0][0]] if items else None
+    out_cuts, out_vals = [], []
+    for c in _cuts(axes[0], (box[0] for _, box in items)):
+        node = first_match_node_by_member(
+            axes[1:], [(i, box[1:]) for i, box in items if member(box[0], c)], values)
+        if not out_vals or out_vals[-1] != node:
+            out_cuts.append(c)
+            out_vals.append(node)
+    return tuple(out_cuts), tuple(out_vals)

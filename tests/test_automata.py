@@ -6,11 +6,20 @@ import re
 import tracemalloc
 
 import pytest
-from helpers import GUARD_ALGEBRAS, domain_chars, endpoint_grid, sym_machines
+from helpers import (
+    GUARD_ALGEBRAS,
+    domain_chars,
+    endpoint_grid,
+    first_match_node_by_member,
+    mutants,
+    sym_machines,
+    symbolic_equiv_pairwise,
+    validate_pairwise,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra, AlgebraError
+from smalearn.algebra import Algebra, AlgebraError, _first_match_node
 from smalearn.automata import (
     AutomatonError,
     ConcreteMealy,
@@ -404,6 +413,70 @@ def test_step_matches_first_match_scan_on_generated_machines(kind, data):
     m = data.draw(sym_machines(alg))
     extra = data.draw(st.lists(domain_chars(alg), max_size=10))
     assert_steps_match(m, endpoint_grid(alg, [tr.guard for tr in m.transitions]) + extra)
+
+
+INTERVAL_GUARDS = ["interval-nat", "interval-nat-bounded", "interval-real"]
+ORDERED_GUARDS = [kind for kind in sorted(GUARD_ALGEBRAS) if not kind.startswith("equality")]
+
+
+@pytest.mark.parametrize("kind", INTERVAL_GUARDS + ["product-2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_symbolic_equiv_matches_pairwise_reference(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    m1 = data.draw(sym_machines(alg, valid=True))
+    m2 = data.draw(st.one_of(sym_machines(alg, valid=True), mutants(m1)))
+    assert symbolic_equiv(m1, m2) == symbolic_equiv_pairwise(m1, m2)
+    assert symbolic_equiv(m2, m1) == symbolic_equiv_pairwise(m2, m1)
+
+
+def test_symbolic_equiv_takes_transition_pairs_in_stored_order():
+    # the pair (x-guard, z-guard) meets at 5, after (y-guard, x-guard) at 2, but comes first
+    m1 = one_state((NAT.union(NAT.interval(0, 2), NAT.interval(5, None)), "x"),
+                   (NAT.interval(2, 5), "y"))
+    m2 = one_state((NAT.interval(0, 5), "x"), (NAT.interval(5, None), "z"))
+    assert symbolic_equiv(m1, m2) == symbolic_equiv_pairwise(m1, m2) == (5,)
+
+
+def test_symbolic_equiv_rejects_overlapping_interval_guards():
+    overlapping = one_state((NAT.interval(0, 10), "S"), (NAT.interval(5, None), "B"))
+    assert [v.kind for v in overlapping.validate()] == ["overlap"]
+    for m1, m2 in ((overlapping, one_state((NAT.top(), "S"))),
+                   (one_state((NAT.top(), "S")), overlapping)):
+        with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
+            symbolic_equiv(m1, m2)
+
+
+@pytest.mark.parametrize("kind", ORDERED_GUARDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_match_tables_match_membership_reference(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    m = data.draw(sym_machines(alg))
+    axes = alg.components if alg.kind == "product" else (alg,)
+    for q in range(m.n_states):
+        trs = m.state_transitions(q)
+        items = [(i, box) for i, tr in enumerate(trs)
+                 for box in (tr.guard.boxes if alg.kind == "product" else [(tr.guard,)])]
+        values = [(tr.target, tr.output) for tr in trs]
+        assert _first_match_node(axes, items, values) == \
+            first_match_node_by_member(axes, items, values)
+
+
+@pytest.mark.parametrize("kind", INTERVAL_GUARDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_matches_pairwise_reference(kind, data):
+    m = data.draw(sym_machines(GUARD_ALGEBRAS[kind]))
+    assert m.validate() == validate_pairwise(m)
+
+
+@pytest.mark.parametrize("kind", ORDERED_GUARDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_roundtrip_of_generated_machines(kind, data):
+    m = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=data.draw(st.booleans())))
+    assert SMealy.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
 @pytest.mark.parametrize("kind,bad", [

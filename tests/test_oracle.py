@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import GUARD_ALGEBRAS, FullTableSearch, sym_machines
+from helpers import GUARD_ALGEBRAS, FullTableSearch, mutants, sym_machines
 from smalearn.algebra import Algebra, AlgebraError
 from smalearn.automata import SMealy, symbolic_equiv
 from smalearn.bench import (
@@ -221,15 +221,6 @@ def test_random_oracle_deep_difference_through_recurring_pairs():
         assert oracle.rng.getstate() == ref.rng.getstate()
         served.add(cex)
     assert served == {(a, b, 0) for a in (10, 20) for b in (10, 20)}
-
-
-@st.composite
-def mutants(draw, target):
-    """``target`` with one transition given another successor or output."""
-    trs = [(t.source, t.guard, t.target, t.output) for t in target.transitions]
-    i = draw(st.integers(0, len(trs) - 1))
-    trs[i] = trs[i][:2] + (draw(st.integers(0, target.n_states - 1)), draw(st.sampled_from("xyz")))
-    return SMealy(target.algebra, target.n_states, target.initial, [], trs)
 
 
 @st.composite
