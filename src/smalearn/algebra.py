@@ -22,7 +22,8 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations
 
 
 class AlgebraError(ValueError):
@@ -223,10 +224,14 @@ class Algebra:
         return Predicate(kind=self.kind, ivs=self._norm_ivs(((lo, hi),)))
 
     def union(self, *preds: Predicate) -> Predicate:
-        out = self.bottom()
+        """Join of ``preds``, normalized once (equality predicates are joined one by one)."""
         for p in preds:
-            out = self.join(out, p)
-        return out
+            self._check(p)
+        if self.kind in INTERVAL_KINDS:
+            return Predicate(kind=self.kind, ivs=self._norm_ivs([iv for p in preds for iv in p.ivs]))
+        if self.kind == "product":
+            return self.from_boxes([box for p in preds for box in p.boxes])
+        return reduce(self.join, preds, self.bottom())
 
     def eq_chars(self, chars, negated: bool = False) -> Predicate:
         if self.kind != "equality":
@@ -263,41 +268,44 @@ class Algebra:
         return member(phi, self.norm_char(a))
 
     def first_match(self, guards, values):
-        """Compile ``guards`` into a lookup ``find(a)`` for normalized characters.
+        """Compile ``guards`` into ``(find, table, overlaps)``.
 
-        ``find(a)`` returns ``values[i]`` for the first ``i`` whose guard
-        contains ``a``, or None when no guard does, so overlapping or
-        incomplete guard lists keep first-match semantics.  Interval and
-        product guards become sorted cut lists (nested one level per axis)
-        searched with ``bisect_right``; every cut list starts at the axis
-        minimum and each segment holds the answer for its lower point.  The
-        tables are built in one pass over the guards: each interval is
-        assigned to the range of segments between its endpoints' cuts.
-        Equality guards become a dict of explicit characters plus a default.
+        ``find(a)`` returns ``values[i]`` for the first ``i`` whose guard holds
+        the normalized character ``a``, or None, so overlapping or incomplete
+        guard lists keep first-match semantics; ``overlaps`` lists every pair
+        ``(i, j)``, ``i < j``, of guards that meet, ascending.  Interval and
+        product guards become a ``table`` of cut lists (``_first_match_node``)
+        searched with ``bisect_right``; equality guards become a dict of
+        explicit characters plus a default, and ``table`` is None.
         """
         for phi in guards:
             self._check(phi)
+        overlaps = set()
         if self.kind == "equality":
             chars = set().union(*(phi.chars for phi in guards))
-            explicit = {c: next((v for phi, v in zip(guards, values) if member(phi, c)), None)
-                        for c in chars}
-            default = next((v for phi, v in zip(guards, values) if phi.negated), None)
-            return lambda a: explicit.get(a, default)
-        if self.kind in INTERVAL_KINDS:
-            cuts, vals = _first_match_node(
-                (self,), [(i, (phi,)) for i, phi in enumerate(guards)], values)
-            return lambda a: vals[bisect_right(cuts, a) - 1]
-        table = _first_match_node(
-            self.components, [(i, box) for i, phi in enumerate(guards) for box in phi.boxes],
-            values)
+            holders = {c: [i for i, phi in enumerate(guards) if member(phi, c)] for c in chars}
+            explicit = {c: values[held[0]] if held else None for c, held in holders.items()}
+            negated = [i for i, phi in enumerate(guards) if phi.negated]
+            default = values[negated[0]] if negated else None
+            for held in (negated, *holders.values()):  # co-finite guards always meet
+                overlaps.update(combinations(held, 2))
+            find, table = (lambda a: explicit.get(a, default)), None
+        elif self.kind in INTERVAL_KINDS:
+            table = cuts, vals = _first_match_node(
+                (self,), [(phi, i) for i, phi in enumerate(guards)], values, overlaps)
+            find = lambda a: vals[bisect_right(cuts, a) - 1]
+        else:
+            table = _first_match_node(
+                self.components, [box + (i,) for i, phi in enumerate(guards) for box in phi.boxes],
+                values, overlaps)
 
-        def find(a):
-            node = table
-            for x in a:
-                cuts, vals = node
-                node = vals[bisect_right(cuts, x) - 1]
-            return node
-        return find
+            def find(a):
+                node = table
+                for x in a:
+                    cuts, vals = node
+                    node = vals[bisect_right(cuts, x) - 1]
+                return node
+        return find, table, tuple(sorted(overlaps)) if overlaps else ()
 
     def meet(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
@@ -504,9 +512,9 @@ class Algebra:
         if memo is not None and (memo[0] is self or memo[0] == self):
             return memo[1]
         rest = self._rest_algebra
+        cuts = _cuts(self.components[0], (box[0] for box in phi.boxes))
         entries = []
-        for c in _cuts(self.components[0], (box[0] for box in phi.boxes)):
-            rest_boxes = [box[1:] for box in phi.boxes if member(box[0], c)]
+        for c, rest_boxes in zip(cuts, _segment_holders(cuts, phi.boxes)):
             entries.append((c, rest.from_boxes(rest_boxes) if rest.kind == "product"
                             else rest.union(*(b[0] for b in rest_boxes))))
         dl = _dl_compress(entries)
@@ -548,33 +556,42 @@ def member(phi: Predicate, a) -> bool:
     return any(all(member(comp, x) for comp, x in zip(box, a)) for box in phi.boxes)
 
 
-def _first_match_node(axes, items, values):
-    """First-match table over ``axes`` for ``(guard index, box)`` items in guard order.
+def _first_match_node(axes, rows, values, overlaps):
+    """First-match table over ``axes`` for rows ``box + (guard index,)`` in guard order.
 
-    Each box holds one 1-D predicate per axis.  The cuts are the axis
-    minimum and every endpoint of the items' first components, so within a
-    segment each item either contains every point or none; the segment's
-    entry is the table of the items containing its lower point over the
-    remaining axes, and at the last axis the value of the first such item.
-    Item by item, each interval ``[lo, hi)`` of its first component joins
-    the segments from cut ``lo`` up to cut ``hi`` (all the rest if unbounded).
+    Each box holds one 1-D predicate per axis.  The table is ``(cuts, entries)``:
+    the cuts are the axis minimum and every endpoint of the rows' first
+    components, ascending, so each row holds all of a segment or none of it;
+    a segment's entry is the table of its rows over the remaining axes, and
+    at the last axis the value of the first row (None for none).  Adjacent
+    equal entries are merged.  Index pairs that share a cell go into ``overlaps``.
     """
     if not axes:
-        return values[items[0][0]] if items else None
-    cuts = _cuts(axes[0], (box[0] for _, box in items))
-    holders = [[] for _ in cuts]
-    for i, box in items:
-        for lo, hi in box[0].ivs:
-            end = len(cuts) if hi is None else bisect_left(cuts, hi)
-            for k in range(bisect_left(cuts, lo), end):
-                holders[k].append((i, box[1:]))
+        if len(rows) > 1:
+            overlaps.update(combinations(sorted({i for i, in rows}), 2))
+        return values[rows[0][0]] if rows else None
+    cuts = _cuts(axes[0], (row[0] for row in rows))
     out_cuts, out_vals = [], []
-    for c, held in zip(cuts, holders):
-        node = _first_match_node(axes[1:], held, values)
+    for c, held in zip(cuts, _segment_holders(cuts, rows)):
+        node = _first_match_node(axes[1:], held, values, overlaps)
         if not out_vals or out_vals[-1] != node:
             out_cuts.append(c)
             out_vals.append(node)
     return tuple(out_cuts), tuple(out_vals)
+
+
+def _segment_holders(cuts, rows):
+    """Per segment of ``cuts``, ``row[1:]`` for each row whose first component, a 1-D
+    predicate, holds it, in row order: each interval ``[lo, hi)`` holds the segments
+    from cut ``lo`` up to cut ``hi`` (all the rest if unbounded)."""
+    holders = [[] for _ in cuts]
+    for row in rows:
+        tail = row[1:]
+        for lo, hi in row[0].ivs:
+            end = len(cuts) if hi is None else bisect_left(cuts, hi)
+            for k in range(bisect_left(cuts, lo), end):
+                holders[k].append(tail)
+    return holders
 
 
 def _cuts(axis: Algebra, comps) -> list:

@@ -9,12 +9,13 @@ and JSON / DOT serialization.
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .algebra import (
-    INTERVAL_KINDS,
     Algebra,
     AlgebraError,
     Predicate,
@@ -45,13 +46,15 @@ class Violation:
     state: int
     kind: str  # "overlap" | "incomplete"
     detail: tuple  # (guard, guard) for overlaps, (uncovered predicate,) otherwise
+    last: int | None = None  # states state..last, all without transitions
 
     def __str__(self):
         if self.kind == "overlap":
             a, b = self.detail
             return (f"state {self.state}: guards {format_predicate(a)} and "
                     f"{format_predicate(b)} overlap")
-        return f"state {self.state}: uncovered region {format_predicate(self.detail[0])}"
+        states = f"state {self.state}" if self.last is None else f"states {self.state}-{self.last}"
+        return f"{states}: uncovered region {format_predicate(self.detail[0])}"
 
 
 class SMealy:
@@ -60,6 +63,8 @@ class SMealy:
     def __init__(self, algebra: Algebra, n_states: int, initial: int, outputs, transitions):
         if n_states < 1:
             raise AutomatonError("at least one state required")
+        if n_states > sys.maxsize:  # no state number beyond an index-sized integer
+            raise AutomatonError(f"cannot hold {n_states} states")
         if not 0 <= initial < n_states:
             raise AutomatonError(f"initial state {initial} out of range")
         self.algebra = algebra
@@ -81,28 +86,20 @@ class SMealy:
                 merged[key] = guard
                 order.append(key)
 
-        outs = list(dict.fromkeys(str(o) for o in outputs))
-        for _, _, output in order:
-            if output not in outs:
-                outs.append(output)
-        self.outputs = tuple(outs)
+        # declared outputs first, then the others in transition order
+        self.outputs = tuple(dict.fromkeys([*(str(o) for o in outputs), *(o for _, _, o in order)]))
 
         trans = [Transition(s, merged[(s, t, o)], t, o) for s, t, o in order]
         trans.sort(key=lambda tr: (tr.source, _char_key(algebra.witness(tr.guard))))
         self.transitions = tuple(trans)
-        by_state = {}
+        # per state with transitions: its transitions, lookup, table and overlapping pairs
+        self._by_state, self._find, self._tables, self._overlaps = {}, {}, {}, {}
         for tr in self.transitions:
-            by_state.setdefault(tr.source, []).append(tr)
-        # states without transitions share one empty tuple and one empty lookup
-        try:
-            self._by_state = [()] * n_states
-            self._find = [algebra.first_match([], [])] * n_states
-        except (OverflowError, MemoryError) as exc:
-            raise AutomatonError(f"cannot hold {n_states} states: {exc!r}") from exc
-        for q, trs in by_state.items():
-            self._by_state[q] = tuple(trs)
-            self._find[q] = algebra.first_match([tr.guard for tr in trs],
-                                                [(tr.target, tr.output) for tr in trs])
+            self._by_state.setdefault(tr.source, []).append(tr)
+        for q, trs in self._by_state.items():
+            self._by_state[q] = trs = tuple(trs)
+            self._find[q], self._tables[q], self._overlaps[q] = algebra.first_match(
+                [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs])
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -117,12 +114,15 @@ class SMealy:
                 f"outputs={list(self.outputs)})")
 
     def state_transitions(self, q: int):
-        return self._by_state[q]
+        return self._by_state.get(q, ())
 
     def step(self, q: int, a):
         """(successor, output) of the first stored transition of ``q`` whose guard holds ``a``."""
         a = self.algebra.norm_char(a)
-        hit = self._find[q](a)
+        try:
+            hit = self._find[q](a)
+        except KeyError:  # a state without transitions; lookups raise no KeyError
+            hit = None
         if hit is None:
             raise _no_transition(q, a)
         return hit
@@ -137,17 +137,20 @@ class SMealy:
         return out
 
     def validate(self) -> list[Violation]:
-        """Determinism and completeness violations; empty list means valid."""
-        violations = []
-        alg = self.algebra
-        for q in range(self.n_states):
-            trs = self._by_state[q]
-            # transitions of one state differ in (target, output): equal ones are merged
+        """Determinism and completeness violations, empty when valid, by ascending state: each
+        state's overlapping guard pairs (recorded at compilation), then its uncovered region;
+        one violation per run of states without transitions (``last`` set if it is longer)."""
+        violations, alg = [], self.algebra
+        everything, unreported = alg.complement(alg.bottom()), 0  # the least state not reported
+        for q in [*sorted(self._by_state), self.n_states]:  # n_states closes the last run
+            if unreported < q:
+                last = q - 1 if q - 1 > unreported else None
+                violations.append(Violation(unreported, "incomplete", (everything,), last))
+            unreported, trs = q + 1, self._by_state.get(q, ())
             violations.extend(Violation(q, "overlap", (trs[i].guard, trs[j].guard))
-                              for i, j in _overlapping_pairs(alg, trs))
-            covered = alg.union(*(t.guard for t in trs)) if trs else alg.bottom()
-            uncovered = alg.complement(covered)
-            if not alg.is_empty(uncovered):
+                              for i, j in self._overlaps.get(q, ()))
+            uncovered = alg.complement(alg.union(*(t.guard for t in trs)))
+            if trs and not alg.is_empty(uncovered):
                 violations.append(Violation(q, "incomplete", (uncovered,)))
         return violations
 
@@ -229,29 +232,6 @@ class SMealy:
         return "\n".join(lines)
 
 
-def _overlapping_pairs(alg: Algebra, trs):
-    """Ascending index pairs ``(i, j)``, ``i < j``, of the transitions whose guards meet.
-
-    1-D intervals are swept by lower endpoint, keeping those still open;
-    product guards are met pairwise.
-    """
-    if alg.kind not in INTERVAL_KINDS:
-        return [(i, j) for i, t1 in enumerate(trs) for j in range(i + 1, len(trs))
-                if not alg.is_empty(alg.meet(t1.guard, trs[j].guard))]
-    pairs, active = set(), []
-    for lo, hi, j in _sorted_intervals(trs):
-        active = [(h, i) for h, i in active if h is None or lo < h]
-        pairs.update((min(i, j), max(i, j)) for _, i in active)
-        active.append((hi, j))
-    return sorted(pairs)
-
-
-def _sorted_intervals(trs):
-    """``(lo, hi, i)`` for each interval of the 1-D guard ``trs[i].guard``, ascending by ``lo``."""
-    return sorted(((lo, hi, i) for i, t in enumerate(trs) for lo, hi in t.guard.ivs),
-                  key=lambda iv: iv[0])
-
-
 def _state_number(v, what):
     """A state count or state number from a file: a JSON integer, not a boolean."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -319,9 +299,10 @@ def restrict(m: SMealy, sigma) -> ConcreteMealy:
     if not chars:
         raise AutomatonError("restriction alphabet must be non-empty")
     delta = {}
-    for q, find in enumerate(m._find):  # the characters are normalized already
-        for a in chars:
-            hit = find(a)
+    for q in range(m.n_states):
+        find = m._find.get(q)
+        for a in chars:  # normalized already
+            hit = find(a) if find else None
             if hit is None:
                 raise _no_transition(q, a)
             delta[(q, a)] = hit
@@ -380,37 +361,38 @@ def _grows_inside(algebra: Algebra, old_groups, old_preds, groups) -> bool:
 def symbolic_equiv(m1: SMealy, m2: SMealy):
     """None if the machines agree on every non-empty word, else a witness word.
 
-    Both machines must be deterministic: ``validate`` reports no overlap.
-    Breadth-first product exploration: state pairs are expanded in FIFO
-    order, transition pairs in canonical stored order, and each frontier
-    character is the minimum of the meet of the two guards, so the witness
-    is deterministic.  Product guards are met pairwise.  For 1-D guards,
-    each reached state's intervals are sorted once per call, and one merge
-    of two states' sorted lists gives every meeting transition pair with
-    the start of its first overlap, which is that minimum; a reached state
-    whose intervals overlap raises ``AutomatonError``.
-    """
+    Both machines must be deterministic: a reached state with overlapping
+    guards raises ``AutomatonError``.  Breadth-first product exploration:
+    state pairs are expanded in FIFO order, transition pairs in canonical
+    stored order, and each frontier character is the minimum of the meet of
+    the two guards, so the witness is deterministic.  Interval and product
+    guards are not met: merging the two states' compiled tables (see
+    ``first_match``) gives each meeting pair with that minimum.  Equality
+    guards are met pairwise."""
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
-    if alg.kind in INTERVAL_KINDS:
-        sorted1, sorted2 = {}, {}
 
-        def meeting(q1, q2):
-            if q1 not in sorted1:
-                sorted1[q1] = _disjoint_intervals(m1, q1)
-            if q2 not in sorted2:
-                sorted2[q2] = _disjoint_intervals(m2, q2)
-            trs1, trs2 = m1.state_transitions(q1), m2.state_transitions(q2)
-            for (i, j), a in _merge_intervals(sorted1[q1], sorted2[q2]):
-                yield trs1[i], trs2[j], a
-    else:
-        def meeting(q1, q2):
-            for t1 in m1.state_transitions(q1):
-                for t2 in m2.state_transitions(q2):
-                    both = alg.meet(t1.guard, t2.guard)
-                    if not alg.is_empty(both):
-                        yield t1, t2, alg.witness(both)
+    def meeting(q1, q2):
+        """``((target1, output1), (target2, output2), minimum)`` per meeting transition pair."""
+        for m, q in ((m1, q1), (m2, q2)):
+            if m._overlaps.get(q):
+                raise AutomatonError(f"state {q} has overlapping guards")
+        trs1, trs2 = m1.state_transitions(q1), m2.state_transitions(q2)
+        if alg.kind == "equality":
+            for t1, t2 in itertools.product(trs1, trs2):
+                both = alg.meet(t1.guard, t2.guard)
+                if not alg.is_empty(both):
+                    yield (t1.target, t1.output), (t2.target, t2.output), alg.witness(both)
+        elif trs1 and trs2:
+            first = {}
+            _meeting_cells(m1._tables[q1], m2._tables[q2], alg.arity, (), first)
+            # a leaf value names one transition: equal (target, output) ones are merged
+            rank1, rank2 = ({(t.target, t.output): i for i, t in enumerate(trs)}
+                            for trs in (trs1, trs2))
+            for (v1, v2), corner in sorted(first.items(),
+                                           key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):
+                yield v1, v2, (corner if alg.kind == "product" else corner[0])
 
     start = (m1.initial, m2.initial)
     seen = {start: ()}
@@ -418,38 +400,36 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
     while queue:
         q1, q2 = queue.popleft()
         prefix = seen[(q1, q2)]
-        for t1, t2, a in meeting(q1, q2):
-            if t1.output != t2.output:
+        for (s1, o1), (s2, o2), a in meeting(q1, q2):
+            if o1 != o2:
                 return prefix + (a,)
-            nxt = (t1.target, t2.target)
+            nxt = (s1, s2)
             if nxt not in seen:
                 seen[nxt] = prefix + (a,)
                 queue.append(nxt)
     return None
 
 
-def _disjoint_intervals(m: SMealy, q: int):
-    """``_sorted_intervals`` of state ``q``; AutomatonError when two of them overlap."""
-    ivs = _sorted_intervals(m.state_transitions(q))
-    for (_, hi, _), (lo, _, _) in zip(ivs, ivs[1:]):
-        if hi is None or lo < hi:
-            raise AutomatonError(f"state {q} has overlapping guards")
-    return ivs
-
-
-def _merge_intervals(ivs1, ivs2):
-    """``((i, j), a)``, ascending, for the indices of disjoint sorted ``(lo, hi, index)``
-    lists whose intervals meet; ``a`` is the lowest point they share."""
-    first = {}
+def _meeting_cells(node1, node2, depth, corner, first):
+    """Merge two compiled tables over ``depth`` axes, one level per axis over the ascending
+    union of both cut lists, so cells come in lexicographic order of their lower corners.
+    ``first`` maps each pair of non-None leaf values to the lower corner (``corner`` plus
+    one cut per level) of the first cell where both hold."""
+    (cuts1, vals1), (cuts2, vals2) = node1, node2
+    last1, last2 = len(cuts1) - 1, len(cuts2) - 1
     i = j = 0
-    while i < len(ivs1) and j < len(ivs2):
-        lo1, hi1, t1 = ivs1[i]
-        lo2, hi2, t2 = ivs2[j]
-        lo = max(lo1, lo2)
-        if (hi1 is None or lo < hi1) and (hi2 is None or lo < hi2):
-            first.setdefault((t1, t2), lo)  # overlaps are met in ascending order
-        if hi1 is None or (hi2 is not None and hi2 < hi1):
+    while True:
+        v1, v2 = vals1[i], vals2[j]
+        c = max(cuts1[i], cuts2[j])
+        if depth > 1:
+            _meeting_cells(v1, v2, depth - 1, corner + (c,), first)
+        elif v1 is not None and v2 is not None and (v1, v2) not in first:
+            first[(v1, v2)] = corner + (c,)
+        if i < last1 and (j == last2 or cuts1[i + 1] <= cuts2[j + 1]):
+            if j < last2 and cuts2[j + 1] == cuts1[i + 1]:
+                j += 1  # both tables cut here
+            i += 1
+        elif j < last2:
             j += 1
         else:
-            i += 1
-    return sorted(first.items())
+            return

@@ -1,5 +1,6 @@
 """Shared fixtures for the test-suite: golden tables and random generators."""
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -172,17 +173,26 @@ def equality_pool(alg):
 @st.composite
 def axis_unions(draw, axis):
     """A union of one to three intervals of a 1-D interval algebra."""
-    pool = axis_pool(axis)
     parts = []
     for _ in range(draw(st.integers(1, 3))):
-        lo = draw(st.sampled_from(pool))
-        hi = draw(st.sampled_from([None] + [x for x in pool if x > lo]))
+        lo = draw(_endpoints(axis))
+        hi = draw(_endpoints(axis, lo))
         parts.append(axis.interval(lo, hi))
     return axis.union(*parts)
 
 
+@functools.lru_cache(maxsize=None)
+def _endpoints(axis, above=None):
+    """Lower endpoints of ``axis``, or with ``above`` the upper ones: None, then the
+    pool's points above it (one strategy each, as building costs more than drawing)."""
+    pool = axis_pool(axis)
+    return st.sampled_from(pool if above is None else [None] + [x for x in pool if x > above])
+
+
+@functools.lru_cache(maxsize=None)
 def guards(alg):
-    """Non-empty predicates of ``alg``."""
+    """Non-empty predicates of ``alg`` (one strategy per algebra, as building costs more
+    than drawing)."""
     if alg.kind in INTERVAL_KINDS:
         return axis_unions(alg)
     if alg.kind == "equality":
@@ -538,6 +548,19 @@ def _box_to_dl(alg: Algebra, box):
     return _dl_compress(entries)
 
 
+def union_by_join(alg: Algebra, *preds: Predicate) -> Predicate:
+    """Union as a fold over ``join``, for differential tests.
+
+    This is ``Algebra.union`` as it was before interval and product
+    predicates were normalized once, copied verbatim but for ``self``
+    becoming ``alg``.
+    """
+    out = alg.bottom()
+    for p in preds:
+        out = alg.join(out, p)
+    return out
+
+
 # -- reference all-pairs guard work --------------------------------------------
 
 
@@ -575,12 +598,13 @@ def validate_pairwise(m: SMealy):
     """Determinism and completeness violations from a meet of every guard pair.
 
     This is ``SMealy.validate`` as it was before 1-D guards were swept in
-    sorted order, copied verbatim but for ``self`` becoming ``m``.
+    sorted order, copied verbatim but for ``self`` becoming ``m`` and the
+    per-state list read through ``state_transitions``.
     """
     violations = []
     alg = m.algebra
     for q in range(m.n_states):
-        trs = m._by_state[q]
+        trs = m.state_transitions(q)
         for i, t1 in enumerate(trs):
             for t2 in trs[i + 1:]:
                 if (t1.target, t1.output) == (t2.target, t2.output):

@@ -15,12 +15,16 @@ from helpers import (
     GOLDEN_COUNTEREXAMPLES,
     GOLDEN_REPAIRS,
     GOLDEN_TABLES,
+    GUARD_ALGEBRAS,
     as_snapshot,
     nat_probe,
     product_probe,
     random_nat_groups,
     random_product_groups,
+    sym_machines,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from smalearn.algebra import Algebra
 from smalearn.automata import SMealy, symbolic_equiv
 from smalearn.bench import (
@@ -49,6 +53,21 @@ def report(num, detail):
 
 def theorem_output_bound(n, m, f):
     return (f + m + 1) * n * n + (2 * m + f + 1) * f * n + m * f * f
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-real", "product-2", "product-3"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_generated_targets_learned_exactly_within_bounds(kind, data):
+    target = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=True))
+    f = len(essential_characters(target))
+    for mode in ("lexmin", "random"):
+        oracle = Oracle(target, mode=mode, seed=data.draw(st.integers(0, 2 ** 16)))
+        learned, stats = learn(oracle, target.algebra)
+        assert symbolic_equiv(learned, target) is None
+        assert stats.eq_queries <= target.n_states + f
+        m = max(stats.max_cex_len, 1)
+        assert stats.output_queries <= theorem_output_bound(target.n_states, m, f)
 
 
 def test_criterion_1_golden_trace():

@@ -9,6 +9,7 @@ from helpers import (
     guards,
     norm_boxes_box_by_box,
     raw_boxes,
+    union_by_join,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -329,6 +330,20 @@ def test_normalization_matches_box_by_box_join(kind, data):
     got, want = alg.from_boxes(raw), norm_boxes_box_by_box(alg, raw)
     assert got == want  # box order included
     assert got.__dict__["_dl"][1] == want.__dict__["_dl"][1]
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
+                                  "product-2", "product-3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_union_matches_fold_over_join(kind, data):
+    alg = GUARD_ALGEBRAS[kind]
+    preds = data.draw(st.lists(st.one_of(guards(alg), st.just(alg.bottom())), min_size=1,
+                               max_size=5))
+    got, want = alg.union(*preds), union_by_join(alg, *preds)
+    assert got == want
+    if alg.kind == "product":  # the kept view too
+        assert got.__dict__["_dl"] == want.__dict__["_dl"]
 
 
 def test_kept_view_is_recomputed_under_another_algebra():

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from helpers import (
@@ -419,7 +420,7 @@ INTERVAL_GUARDS = ["interval-nat", "interval-nat-bounded", "interval-real"]
 ORDERED_GUARDS = [kind for kind in sorted(GUARD_ALGEBRAS) if not kind.startswith("equality")]
 
 
-@pytest.mark.parametrize("kind", INTERVAL_GUARDS + ["product-2"])
+@pytest.mark.parametrize("kind", INTERVAL_GUARDS + ["product-2", "product-3"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_symbolic_equiv_matches_pairwise_reference(kind, data):
@@ -447,6 +448,33 @@ def test_symbolic_equiv_rejects_overlapping_interval_guards():
             symbolic_equiv(m1, m2)
 
 
+def test_symbolic_equiv_rejects_overlapping_product_guards():
+    alg = GUARD_ALGEBRAS["product-2"]
+    overlapping = SMealy(alg, 1, 0, [], [(0, alg.box((0, 5), (-5.0, None)), 0, "S"),
+                                         (0, alg.box((3, None), (0.0, None)), 0, "B"),
+                                         (0, alg.box((0, 3), (-5.0, 0.0)), 0, "B")])
+    assert [v.kind for v in overlapping.validate()] == ["overlap", "incomplete"]
+    whole = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "S")])
+    for m1, m2 in ((overlapping, whole), (whole, overlapping)):
+        with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
+            symbolic_equiv(m1, m2)
+
+
+@pytest.mark.parametrize("kind,chars1,chars2", [
+    ("equality", {1, 2}, None),  # None: every character but 2
+    ("equality-carrier", {2, 3}, {3, 5, 7, 11}),
+])
+def test_symbolic_equiv_rejects_overlapping_equality_guards(kind, chars1, chars2):
+    alg = GUARD_ALGEBRAS[kind]
+    second = alg.eq_chars({2}, negated=True) if chars2 is None else alg.eq_chars(chars2)
+    overlapping = SMealy(alg, 1, 0, [], [(0, alg.eq_chars(chars1), 0, "S"), (0, second, 0, "B")])
+    assert [v.kind for v in overlapping.validate()] == ["overlap"]
+    whole = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "S")])
+    for m1, m2 in ((overlapping, whole), (whole, overlapping)):
+        with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
+            symbolic_equiv(m1, m2)
+
+
 @pytest.mark.parametrize("kind", ORDERED_GUARDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -459,16 +487,23 @@ def test_first_match_tables_match_membership_reference(kind, data):
         items = [(i, box) for i, tr in enumerate(trs)
                  for box in (tr.guard.boxes if alg.kind == "product" else [(tr.guard,)])]
         values = [(tr.target, tr.output) for tr in trs]
-        assert _first_match_node(axes, items, values) == \
+        rows = [tuple(box) + (i,) for i, box in items]
+        assert _first_match_node(axes, rows, values, set()) == \
             first_match_node_by_member(axes, items, values)
 
 
-@pytest.mark.parametrize("kind", INTERVAL_GUARDS)
+def state_by_state(violations):
+    """``violations`` with each run of states without transitions listed state by state."""
+    return [replace(v, state=q, last=None) for v in violations
+            for q in range(v.state, (v.state if v.last is None else v.last) + 1)]
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_validate_matches_pairwise_reference(kind, data):
     m = data.draw(sym_machines(GUARD_ALGEBRAS[kind]))
-    assert m.validate() == validate_pairwise(m)
+    assert state_by_state(m.validate()) == validate_pairwise(m)
 
 
 @pytest.mark.parametrize("kind", ORDERED_GUARDS)
@@ -505,22 +540,30 @@ def unused_states_data(states):
 def test_states_without_transitions_cost_no_table_each():
     tracemalloc.start()
     try:
-        m = SMealy.from_json(unused_states_data(100_000))
+        m = SMealy.from_json(unused_states_data(10 ** 6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20, f"loading took {peak / 2 ** 20:.1f} MiB"
-    assert m.n_states == 100_000
+    assert peak < 2 ** 20, f"loading took {peak / 2 ** 20:.2f} MiB"
+    assert m.n_states == 10 ** 6
     assert m.step(0, 5) == (0, "o")
-    assert m.state_transitions(99_999) == ()
-    with pytest.raises(AutomatonError, match=r"^no transition from state 99999 on 5$"):
-        m.step(99_999, 5)
+    assert m.state_transitions(999_999) == ()
+    with pytest.raises(AutomatonError, match=r"^no transition from state 999999 on 5$"):
+        m.step(999_999, 5)
+    with pytest.raises(AutomatonError, match=r"^no transition from state 1 on 0$"):
+        restrict(m, [0, 5])
 
 
 def test_states_without_transitions_reported_incomplete():
     m = SMealy.from_json(unused_states_data(3))
-    assert [(v.state, v.kind, v.detail) for v in m.validate()] == \
-        [(1, "incomplete", (NAT.top(),)), (2, "incomplete", (NAT.top(),))]
+    assert [(v.state, v.kind, v.detail, v.last) for v in m.validate()] == \
+        [(1, "incomplete", (NAT.top(),), 2)]
+    gaps = SMealy(NAT, 6, 0, [], [(2, NAT.top(), 0, "o"), (4, NAT.interval(0, 3), 0, "o")])
+    assert [str(v) for v in gaps.validate()] == [
+        "states 0-1: uncovered region [0,inf)", "state 3: uncovered region [0,inf)",
+        "state 4: uncovered region [3,inf)", "state 5: uncovered region [0,inf)"]
+    huge = SMealy.from_json(unused_states_data(10 ** 12))  # no work per state
+    assert [str(v) for v in huge.validate()] == ["states 1-999999999999: uncovered region [0,inf)"]
 
 
 def evidence_from_state0(moves, n_states=1):

@@ -227,6 +227,18 @@ def test_unparsable_file_is_one_line_exit_1(tmp_path, capsys, command, content):
 
 
 @pytest.mark.parametrize("command", ["learn", "equiv"])
+def test_huge_state_count_is_one_violation_exit_2(tmp_path, capsys, command):
+    good, path = tmp_path / "good.json", tmp_path / "huge.json"
+    make_worked_example().save(good)
+    path.write_text(machine_json({"kind": "interval-nat"}, states=10 ** 12))
+    code, stdout, err = run_cli(capsys, *learn_or_equiv(command, path, good))
+    assert code == 2
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    assert line.endswith("states 1-999999999999: uncovered region [0,inf)")
+
+
+@pytest.mark.parametrize("command", ["learn", "equiv"])
 def test_unreadable_file_is_one_line_exit_1(tmp_path, capsys, command):
     good, path = tmp_path / "good.json", tmp_path / "missing.json"
     make_worked_example().save(good)
