@@ -151,9 +151,9 @@ class Algebra:
         if self.kind == "interval-real":
             if isinstance(a, bool) or not isinstance(a, (int, float)):
                 raise AlgebraError(f"not a real: {a!r}")
-            a = float(a)
-            if not math.isfinite(a):
+            if not -sys.float_info.max <= a <= sys.float_info.max:  # also ints beyond a float
                 raise AlgebraError(f"real characters must be finite: {a!r}")
+            a = float(a)
             if a < self.minimum:
                 raise AlgebraError(f"below domain minimum {self.minimum}: {a!r}")
             return a

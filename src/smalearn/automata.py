@@ -21,6 +21,7 @@ from .algebra import (
     Predicate,
     format_char,
     format_predicate,
+    member,
 )
 
 
@@ -313,7 +314,7 @@ _EMPTY = frozenset()
 
 
 def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
-    """Per state, ``chars`` grouped by the (successor, output) they lead to, then partitioned.
+    """Per state, normalized ``chars`` grouped by the (successor, output) they reach, partitioned.
 
     Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
     pairs over every state/output key (states ascending, outputs in declared
@@ -334,7 +335,7 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
         for a in chars:
             groups[machine.step(q, a)].add(a)
         old = memo.get(q)
-        if old is not None and _grows_inside(algebra, *old, groups):
+        if old is not None and _grows_inside(*old, groups):
             preds = old[1]
             if len(preds) < len(keys):  # new states or outputs add empty groups
                 preds = {key: preds.get(key, bottom) for key in keys}
@@ -344,7 +345,7 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
         yield q, preds.items()
 
 
-def _grows_inside(algebra: Algebra, old_groups, old_preds, groups) -> bool:
+def _grows_inside(old_groups, old_preds, groups) -> bool:
     """Whether ``groups`` only add samples, each inside its key's predicate in ``old_preds``."""
     for key, before in old_groups.items():
         if not before <= groups.get(key, _EMPTY):
@@ -353,7 +354,7 @@ def _grows_inside(algebra: Algebra, old_groups, old_preds, groups) -> bool:
         added = group - old_groups.get(key, _EMPTY)
         if added:
             pred = old_preds.get(key)
-            if pred is None or not all(algebra.denotes(pred, a) for a in added):
+            if pred is None or not all(member(pred, a) for a in added):
                 return False
     return True
 

@@ -8,11 +8,16 @@ predicate does not change the result.  Stability is what lets a learner keep
 refining sample sets without invalidating predicates it already inferred,
 and ``learn`` relies on it: a state keeps its predicates from round to round
 while its groups only grow inside them.
+
+Intervals and products are labelled on a map: per axis a cut list from the
+axis minimum, each segment holding the map of the next axis or a group label.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, member
+from bisect import bisect_left, bisect_right
+
+from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, _dl_compress
 
 
 class PartitionError(ValueError):
@@ -59,20 +64,9 @@ def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
     if algebra.kind not in INTERVAL_KINDS:
         raise AlgebraError(f"partition_intervals needs an interval algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    items = sorted((a, i) for i, g in normd.items() for a in g)
-    ivs = {}  # group -> its intervals so far, ascending and non-touching
-    lo = algebra.min_char()
-    for j, (_, i) in enumerate(items):
-        hi = items[j + 1][0] if j + 1 < len(items) else None
-        own = ivs.setdefault(i, [])
-        if own and own[-1][1] == lo:
-            own[-1] = (own[-1][0], hi)
-        else:
-            own.append((lo, hi))
-        lo = hi
+    preds = _read_labels(algebra, sorted((a, i) for i, g in normd.items() for a in g))
     bottom = algebra.bottom()
-    return [Predicate(kind=algebra.kind, ivs=tuple(ivs[i])) if i in ivs else bottom
-            for i in range(len(groups))]
+    return [preds[i] if i in preds else bottom for i in range(len(groups))]
 
 
 def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
@@ -87,34 +81,74 @@ def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
 
 
 def partition_product(algebra: Algebra, groups) -> list[Predicate]:
-    """Dominance-cone capture over a product of interval domains.
+    """Dominance-cone capture over a product of interval domains, on one label map.
 
     Samples are processed in ascending order of coordinate sum (ties by
     tuple order).  The first sample's group takes the whole domain; every
     later sample landing in a foreign group's region moves the intersection
     of its upward cone with that region into its own group.  A sample inside
     its own group's region changes nothing, which gives stability.
+
+    A capture splits the segments holding the sample and relabels the cone's
+    cells that carry its cell's label; groups are read off the map at the end.
     """
     if algebra.kind != "product":
         raise AlgebraError(f"partition_product needs a product algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    k = len(groups)
-    axes = algebra.components
     items = sorted(((a, i) for i, g in normd.items() for a in g),
                    key=lambda t: (sum(t[0]), t[0]))
-    bottom = algebra.bottom()
-    preds = [bottom] * k
-    first_char, first_group = items[0]
-    preds[first_group] = algebra.top()
-    live = [first_group]  # groups that ever held a region; the probe skips the rest
+    root = items[0][1]
+    for axis in reversed(algebra.components):
+        root = ([axis.min_char()], [root])
+
+    def copy(node, axes):
+        cuts, subs = node
+        return cuts[:], subs[:] if axes == 1 else [copy(sub, axes - 1) for sub in subs]
+
+    def capture(node, a, at, i):  # ``a``: the coordinates on node's axis and those below it
+        cuts, subs = node
+        k = bisect_left(cuts, a[0])
+        if k == len(cuts) or cuts[k] != a[0]:  # split at a[0]; the upper part gets a copy
+            cuts.insert(k, a[0])
+            subs.insert(k, subs[k - 1] if len(a) == 1 else copy(subs[k - 1], len(a) - 1))
+        for j in range(k, len(subs)):
+            if len(a) > 1:
+                capture(subs[j], a[1:], at, i)
+            elif subs[j] == at:
+                subs[j] = i
+
     for a, i in items[1:]:
-        at = next(g for g in live if member(preds[g], a))
-        if at == i:
-            continue
-        cone = algebra.from_boxes([tuple(ax.interval(c, None) for ax, c in zip(axes, a))])
-        captured = algebra.meet(cone, preds[at])
-        preds[at] = algebra.meet(preds[at], algebra.complement(captured))
-        if preds[i] is bottom:
-            live.append(i)
-        preds[i] = algebra.join(preds[i], captured)
-    return preds
+        at = root
+        for x in a:  # down to the label of a's cell
+            at = at[1][bisect_right(at[0], x) - 1]
+        if at != i:
+            capture(root, a, at, i)
+    preds = _read_labels(algebra, root)
+    bottom = algebra.bottom()
+    return [preds[i] if i in preds else bottom for i in range(len(groups))]
+
+
+def _read_labels(alg: Algebra, node) -> dict:
+    """Label -> predicate over ``alg`` of the cells that carry it in ``node``: a label
+    map, or on one axis ascending ``(a, label)`` items, each claiming from its ``a``
+    (the first from the axis minimum) up to the next item's ``a``."""
+    if alg.kind == "product":
+        cuts, subs = node
+        rest = alg._rest_algebra
+        below = [_read_labels(rest, sub if rest.kind == "product" else list(zip(*sub)))
+                 for sub in subs]
+        bottom = rest.bottom()
+        return {label: alg._dl_to_pred(_dl_compress(
+                    [(c, preds.get(label, bottom)) for c, preds in zip(cuts, below)]))
+                for label in dict.fromkeys(label for preds in below for label in preds)}
+    ivs = {}  # label -> its intervals so far: adjacent claims merge, so each is canonical
+    lo = alg.min_char()
+    for j, (_, i) in enumerate(node):
+        hi = node[j + 1][0] if j + 1 < len(node) else None
+        own = ivs.setdefault(i, [])
+        if own and own[-1][1] == lo:
+            own[-1] = (own[-1][0], hi)
+        else:
+            own.append((lo, hi))
+        lo = hi
+    return {i: Predicate(kind=alg.kind, ivs=tuple(own)) for i, own in ivs.items()}

@@ -18,6 +18,7 @@ from smalearn.algebra import (
     flat_boxes,
     member,
 )
+from smalearn.partition import _check_groups
 from smalearn.automata import ConcreteMealy, SMealy, Violation, restrict, shortlex_key
 from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
@@ -634,3 +635,37 @@ def first_match_node_by_member(axes, items, values):
             out_cuts.append(c)
             out_vals.append(node)
     return tuple(out_cuts), tuple(out_vals)
+
+
+# -- reference product partition -------------------------------------------------
+
+
+def partition_product_by_cones(algebra: Algebra, groups) -> list[Predicate]:
+    """Dominance-cone capture with Boolean-algebra operations, for differential tests.
+
+    This is ``smalearn.partition.partition_product`` as it was before it
+    captured on a label map, copied verbatim but for its name and docstring.
+    """
+    if algebra.kind != "product":
+        raise AlgebraError(f"partition_product needs a product algebra, got {algebra.kind}")
+    normd = _check_groups(algebra, groups)
+    k = len(groups)
+    axes = algebra.components
+    items = sorted(((a, i) for i, g in normd.items() for a in g),
+                   key=lambda t: (sum(t[0]), t[0]))
+    bottom = algebra.bottom()
+    preds = [bottom] * k
+    first_char, first_group = items[0]
+    preds[first_group] = algebra.top()
+    live = [first_group]  # groups that ever held a region; the probe skips the rest
+    for a, i in items[1:]:
+        at = next(g for g in live if member(preds[g], a))
+        if at == i:
+            continue
+        cone = algebra.from_boxes([tuple(ax.interval(c, None) for ax, c in zip(axes, a))])
+        captured = algebra.meet(cone, preds[at])
+        preds[at] = algebra.meet(preds[at], algebra.complement(captured))
+        if preds[i] is bottom:
+            live.append(i)
+        preds[i] = algebra.join(preds[i], captured)
+    return preds

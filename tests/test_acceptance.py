@@ -128,7 +128,8 @@ def test_criterion_3_mh_reproduction():
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     report(3, f"eq={stats.eq_queries} (reference run: 36.0 with 36 essential "
-              f"characters; here |essential|={len(essential)}), "
+              f"characters, as many as state 0's grid with the written guard tops as cuts; "
+              f"here the tops are extended to +inf and |essential|={len(essential)}), "
               f"oq={stats.output_queries}, m={stats.max_cex_len}, {elapsed:.1f}s")
 
 

@@ -203,6 +203,7 @@ BAD_FILES = {
     "nat-upper-string": machine_json({"kind": "interval-nat"}, ([0, "5"], [5, None])).encode(),
     "real-upper-nan": machine_json({"kind": "interval-real"},
                                    ([0, float("nan")], [5, None])).encode(),
+    "real-lower-beyond-float": machine_json({"kind": "interval-real"}, ([10 ** 400, None],)).encode(),
     "states-huge": machine_json({"kind": "interval-nat"}, states=10 ** 30).encode(),
 }
 

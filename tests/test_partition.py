@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra
+from smalearn.algebra import Algebra, Predicate
 from smalearn.partition import (
     PartitionError,
     partition_equality,
@@ -111,6 +111,7 @@ from helpers import (
     domain_chars,
     endpoint_grid,
     nat_probe,
+    partition_product_by_cones,
     product_probe,
     random_nat_groups,
     random_product_groups,
@@ -187,9 +188,11 @@ def test_partitioner_dispatch():
 
 
 @st.composite
-def sample_groups(draw, alg):
-    """Up to six disjoint groups of distinct samples, some of them empty."""
-    chars = draw(st.lists(domain_chars(alg), min_size=1, max_size=10, unique_by=alg.norm_char))
+def sample_groups(draw, alg, chars=None):
+    """Up to six disjoint groups of distinct samples (from ``chars``, by default any
+    characters of ``alg``), some of them empty."""
+    chars = draw(st.lists(domain_chars(alg) if chars is None else chars, min_size=1, max_size=10,
+                          unique_by=alg.norm_char))
     k = draw(st.integers(1, 6))
     groups = [set() for _ in range(k)]
     for a in chars:
@@ -233,3 +236,53 @@ def test_partitions_stay_valid_and_stable_as_samples_grow(name, data):
         owner = next(i for i, p in enumerate(preds) if alg.denotes(p, c))
         grown[owner].add(c)
     assert partition(alg, grown) == preds
+
+
+def half_integer_chars(alg):
+    """Product characters with half-integer real coordinates, so that samples share
+    coordinates and land on each other's cuts often."""
+    axes = []
+    for axis in alg.components:
+        if axis.kind == "interval-nat":
+            axes.append(st.integers(0, 11 if axis.bound is None else axis.bound - 1))
+        else:
+            axes.append(st.integers(int(2 * axis.minimum), 24).map(lambda n: n / 2))
+    return st.tuples(*axes)
+
+
+def assert_matches_cone_reference(alg, groups):
+    preds = partition_product(alg, groups)
+    assert preds == partition_product_by_cones(alg, groups), groups
+    for p in preds:
+        if not p.is_false():  # the kept view is the one a fresh predicate computes
+            assert p.__dict__["_dl"][1] == alg._pred_to_dl(Predicate(kind="product", boxes=p.boxes))
+    return preds
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["product-2", "product-3"]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_partition_product_matches_cone_reference(name, seed, data):
+    alg = GUARD_ALGEBRAS[name]
+    chars = half_integer_chars(alg)
+    for groups in (random_product_groups(random.Random(seed), alg),
+                   data.draw(sample_groups(alg, chars))):
+        preds = assert_matches_cone_reference(alg, groups)
+        grown = [set(g) for g in groups]
+        for c in data.draw(st.lists(st.one_of(chars, st.sampled_from(endpoint_grid(alg, preds))),
+                                    max_size=8)):
+            owner = next(i for i, p in enumerate(preds) if alg.denotes(p, c))
+            grown[owner].add(c)
+        assert assert_matches_cone_reference(alg, grown) == preds
+
+
+def test_partition_product_matches_cone_reference_on_a_large_input():
+    alg = Algebra.product(Algebra.naturals(), Algebra.reals(minimum=-5.0),
+                          Algebra.naturals(bound=4))
+    rng = random.Random(12)
+    chars = sorted({(rng.randrange(20), rng.randrange(-10, 40) / 2, rng.randrange(4))
+                    for _ in range(150)})
+    groups = [set() for _ in range(4)]  # the last group stays empty
+    for a in chars:
+        groups[rng.randrange(3)].add(a)
+    assert_matches_cone_reference(alg, groups)
