@@ -108,9 +108,16 @@ class Algebra:
 
     @staticmethod
     def equality(carrier=None) -> "Algebra":
-        frozen = None if carrier is None else frozenset(carrier)
-        if frozen is not None and not frozen:
+        if carrier is None:
+            return Algebra(kind="equality")
+        frozen = frozenset(carrier)
+        if not frozen:
             raise AlgebraError("equality carrier must be non-empty")
+        try:
+            sorted(frozen)  # predicates and files list the carrier in order
+        except TypeError:
+            raise AlgebraError(f"equality carrier members do not sort together: {carrier!r}") \
+                from None
         return Algebra(kind="equality", carrier=frozen)
 
     @staticmethod
@@ -257,8 +264,7 @@ class Algebra:
     def from_boxes(self, boxes) -> Predicate:
         if self.kind != "product":
             raise AlgebraError("from_boxes undefined for non-product algebra")
-        boxes = tuple(b for b in map(tuple, boxes) if not any(c.is_false() for c in b))
-        return self._dl_to_pred(self._pred_to_dl(Predicate(kind="product", boxes=boxes)))
+        return self._cells(boxes, True)
 
     # -- semantics ---------------------------------------------------------
 
@@ -314,7 +320,8 @@ class Algebra:
             return Predicate(kind=self.kind, ivs=_ivs_meet(phi.ivs, psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "meet")
-        return self._dl_to_pred(_dl_op(self, self._pred_to_dl(phi), self._pred_to_dl(psi), "meet"))
+        return self._cells(self._cells(phi.boxes, None).boxes + self._cells(psi.boxes, None).boxes,
+                           None)
 
     def join(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
@@ -323,7 +330,7 @@ class Algebra:
             return Predicate(kind=self.kind, ivs=self._norm_ivs(phi.ivs + psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "join")
-        return self._dl_to_pred(_dl_op(self, self._pred_to_dl(phi), self._pred_to_dl(psi), "join"))
+        return self._cells(phi.boxes + psi.boxes, True)
 
     def complement(self, phi: Predicate) -> Predicate:
         self._check(phi)
@@ -333,7 +340,7 @@ class Algebra:
             if self.carrier is not None:
                 return self._norm_eq(self.carrier - phi.chars, False)
             return self._norm_eq(phi.chars, not phi.negated)
-        return self._dl_to_pred(_dl_complement(self, self._pred_to_dl(phi)))
+        return self._cells(phi.boxes, None)
 
     def is_empty(self, phi: Predicate) -> bool:
         self._check(phi)
@@ -490,16 +497,11 @@ class Algebra:
         pos, neg = (phi, psi) if not phi.negated else (psi, phi)
         return self._norm_eq(neg.chars - pos.chars, True)
 
-    # Product predicates are manipulated through a decision-list view: an
-    # ascending list of (cut, rest) pairs covering [min, inf), where rest is
-    # the canonical predicate over the remaining axes (1-D at the base).
-    # Each predicate keeps its view, with the algebra that computed it, in its
-    # instance ``__dict__``: the view is computed at most once per algebra,
-    # meet/join/complement results come with the view they were built from,
-    # and ``==``, ``hash`` and ``repr`` ignore it.  The view is keyed by the
-    # algebra because its cuts start at the first axis's minimum, and kept on
-    # the instance rather than in a shared cache so that it goes with the
-    # predicate.
+    # Product predicates are built on the label map of ``_first_match_node``
+    # (one cut list per axis, from the axis minimum) and read back by
+    # ``read_labels``: ``from_boxes`` and ``join`` read the cells their boxes
+    # cover, ``complement`` the cells they leave uncovered, and ``meet`` is
+    # the complement of the join of the two complements.
 
     @cached_property
     def _rest_algebra(self) -> "Algebra":
@@ -507,44 +509,12 @@ class Algebra:
             return self.components[1]
         return Algebra(kind="product", components=self.components[1:])
 
-    def _pred_to_dl(self, phi: Predicate):
-        memo = phi.__dict__.get("_dl")
-        if memo is not None and (memo[0] is self or memo[0] == self):
-            return memo[1]
-        rest = self._rest_algebra
-        cuts = _cuts(self.components[0], (box[0] for box in phi.boxes))
-        entries = []
-        for c, rest_boxes in zip(cuts, _segment_holders(cuts, phi.boxes)):
-            entries.append((c, rest.from_boxes(rest_boxes) if rest.kind == "product"
-                            else rest.union(*(b[0] for b in rest_boxes))))
-        dl = _dl_compress(entries)
-        object.__setattr__(phi, "_dl", (self, dl))
-        return dl
-
-    def _dl_to_pred(self, dl) -> Predicate:
-        axis0 = self.components[0]
-        groups = []  # (rest predicate, [segments]) in first-appearance order
-        for i, (cut, rest) in enumerate(dl):
-            hi = dl[i + 1][0] if i + 1 < len(dl) else None
-            if rest.is_false():
-                continue
-            for g in groups:
-                if g[0] == rest:
-                    g[1].append((cut, hi))
-                    break
-            else:
-                groups.append((rest, [(cut, hi)]))
-        boxes = []
-        for rest, segs in groups:
-            comp0 = Predicate(kind=axis0.kind, ivs=axis0._norm_ivs(tuple(segs)))
-            if rest.kind == "product":
-                for sub in rest.boxes:
-                    boxes.append((comp0,) + sub)
-            else:
-                boxes.append((comp0, rest))
-        phi = Predicate(kind="product", boxes=tuple(boxes))
-        object.__setattr__(phi, "_dl", (self, dl))
-        return phi
+    def _cells(self, boxes, label) -> Predicate:
+        """The cells of the label map of ``boxes`` that carry ``label``: True where a
+        box holds them, None where none does."""
+        node = _first_match_node(self.components, [tuple(box) + (0,) for box in boxes],
+                                 (True,), set())
+        return read_labels(self, node, (label,)).get(label, self.bottom())
 
 
 def member(phi: Predicate, a) -> bool:
@@ -605,6 +575,52 @@ def _cuts(axis: Algebra, comps) -> list:
     return sorted(cuts)
 
 
+def read_labels(alg: Algebra, node, wanted) -> dict:
+    """Label -> predicate over ``alg`` of the cells of label map ``node`` that carry it,
+    for each label in ``wanted`` that some cell carries.
+
+    ``node`` is ``(cuts, entries)`` with ascending cuts from the axis minimum:
+    segment ``j`` runs from ``cuts[j]`` up to the next cut (the last one is
+    unbounded), and its entry is the map over the remaining axes, or a label
+    at the last axis.  Each predicate comes out canonical: per axis, equal
+    adjacent sections merge, and the segments of one section form one box
+    component, in order of first appearance.
+    """
+    cuts, entries = node
+    if alg.kind != "product":
+        return {label: Predicate(kind=alg.kind, ivs=tuple(ivs))
+                for label, ivs in _claims(cuts, entries).items() if label in wanted}
+    rest, axis_kind = alg._rest_algebra, alg.components[0].kind
+    below = [read_labels(rest, sub, wanted) for sub in entries]
+    preds = {}
+    for label in dict.fromkeys(label for found in below for label in found):
+        boxes = []
+        for section, ivs in _claims(cuts, [found.get(label) for found in below]).items():
+            if section is None:  # segments where the label carries no cell
+                continue
+            comp = Predicate(kind=axis_kind, ivs=tuple(ivs))
+            if rest.kind == "product":
+                boxes.extend((comp,) + box for box in section.boxes)
+            else:
+                boxes.append((comp, section))
+        preds[label] = Predicate(kind="product", boxes=tuple(boxes))
+    return preds
+
+
+def _claims(cuts, entries) -> dict:
+    """Entry -> the intervals of the segments of ``cuts`` that carry it, ascending, with
+    adjacent segments merged; entries in order of first appearance."""
+    claims = {}
+    for j, entry in enumerate(entries):
+        lo, hi = cuts[j], cuts[j + 1] if j + 1 < len(cuts) else None
+        own = claims.setdefault(entry, [])
+        if own and own[-1][1] == lo:
+            own[-1] = (own[-1][0], hi)
+        else:
+            own.append((lo, hi))
+    return claims
+
+
 # -- 1-D interval helpers ----------------------------------------------------
 
 
@@ -639,43 +655,6 @@ def _ivs_complement(ivs, minimum) -> tuple:
         cursor = max(cursor, hi)
     out.append((cursor, None))
     return tuple(out)
-
-
-# -- decision-list helpers for product predicates ----------------------------
-
-
-def _dl_compress(entries):
-    out = []
-    for cut, rest in entries:
-        if out and out[-1][1] == rest:
-            continue
-        out.append((cut, rest))
-    return tuple(out)
-
-
-def _dl_op(alg: Algebra, dl1, dl2, op: str):
-    rest_alg = alg._rest_algebra
-    cuts = sorted({c for c, _ in dl1} | {c for c, _ in dl2})
-    entries = []
-    for c in cuts:
-        r1 = _dl_at(dl1, c)
-        r2 = _dl_at(dl2, c)
-        entries.append((c, rest_alg.meet(r1, r2) if op == "meet" else rest_alg.join(r1, r2)))
-    return _dl_compress(entries)
-
-
-def _dl_complement(alg: Algebra, dl):
-    rest_alg = alg._rest_algebra
-    return _dl_compress([(c, rest_alg.complement(r)) for c, r in dl])
-
-
-def _dl_at(dl, c):
-    value = dl[0][1]
-    for cut, rest in dl:
-        if cut > c:
-            break
-        value = rest
-    return value
 
 
 def _flatten_box(box):

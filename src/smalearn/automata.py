@@ -22,6 +22,7 @@ from .algebra import (
     format_char,
     format_predicate,
     member,
+    read_labels,
 )
 
 
@@ -139,8 +140,9 @@ class SMealy:
 
     def validate(self) -> list[Violation]:
         """Determinism and completeness violations, empty when valid, by ascending state: each
-        state's overlapping guard pairs (recorded at compilation), then its uncovered region;
-        one violation per run of states without transitions (``last`` set if it is longer)."""
+        state's overlapping guard pairs (recorded at compilation), then its uncovered region
+        (the cells of its compiled table that no guard holds); one violation per run of
+        states without transitions (``last`` set if it is longer)."""
         violations, alg = [], self.algebra
         everything, unreported = alg.complement(alg.bottom()), 0  # the least state not reported
         for q in [*sorted(self._by_state), self.n_states]:  # n_states closes the last run
@@ -150,8 +152,12 @@ class SMealy:
             unreported, trs = q + 1, self._by_state.get(q, ())
             violations.extend(Violation(q, "overlap", (trs[i].guard, trs[j].guard))
                               for i, j in self._overlaps.get(q, ()))
-            uncovered = alg.complement(alg.union(*(t.guard for t in trs)))
-            if trs and not alg.is_empty(uncovered):
+            if not trs:
+                continue
+            table = self._tables[q]  # None for equality guards
+            uncovered = (alg.complement(alg.union(*(t.guard for t in trs))) if table is None
+                         else read_labels(alg, table, (None,)).get(None, alg.bottom()))
+            if not alg.is_empty(uncovered):
                 violations.append(Violation(q, "incomplete", (uncovered,)))
         return violations
 

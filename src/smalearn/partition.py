@@ -9,15 +9,17 @@ refining sample sets without invalidating predicates it already inferred,
 and ``learn`` relies on it: a state keeps its predicates from round to round
 while its groups only grow inside them.
 
-Intervals and products are labelled on a map: per axis a cut list from the
-axis minimum, each segment holding the map of the next axis or a group label.
+Intervals and products label the cells of a label map with groups (per axis
+a cut list from the axis minimum, each segment holding the map of the next
+axis or a group label), and ``algebra.read_labels`` reads each group's
+predicate back, as it does for every product predicate the algebra builds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, _dl_compress
+from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, read_labels
 
 
 class PartitionError(ValueError):
@@ -64,7 +66,8 @@ def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
     if algebra.kind not in INTERVAL_KINDS:
         raise AlgebraError(f"partition_intervals needs an interval algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    preds = _read_labels(algebra, sorted((a, i) for i, g in normd.items() for a in g))
+    samples, labels = zip(*sorted((a, i) for i, g in normd.items() for a in g))
+    preds = read_labels(algebra, ((algebra.min_char(),) + samples[1:], labels), normd)
     bottom = algebra.bottom()
     return [preds[i] if i in preds else bottom for i in range(len(groups))]
 
@@ -123,32 +126,7 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
             at = at[1][bisect_right(at[0], x) - 1]
         if at != i:
             capture(root, a, at, i)
-    preds = _read_labels(algebra, root)
+    preds = read_labels(algebra, root, normd)
     bottom = algebra.bottom()
     return [preds[i] if i in preds else bottom for i in range(len(groups))]
 
-
-def _read_labels(alg: Algebra, node) -> dict:
-    """Label -> predicate over ``alg`` of the cells that carry it in ``node``: a label
-    map, or on one axis ascending ``(a, label)`` items, each claiming from its ``a``
-    (the first from the axis minimum) up to the next item's ``a``."""
-    if alg.kind == "product":
-        cuts, subs = node
-        rest = alg._rest_algebra
-        below = [_read_labels(rest, sub if rest.kind == "product" else list(zip(*sub)))
-                 for sub in subs]
-        bottom = rest.bottom()
-        return {label: alg._dl_to_pred(_dl_compress(
-                    [(c, preds.get(label, bottom)) for c, preds in zip(cuts, below)]))
-                for label in dict.fromkeys(label for preds in below for label in preds)}
-    ivs = {}  # label -> its intervals so far: adjacent claims merge, so each is canonical
-    lo = alg.min_char()
-    for j, (_, i) in enumerate(node):
-        hi = node[j + 1][0] if j + 1 < len(node) else None
-        own = ivs.setdefault(i, [])
-        if own and own[-1][1] == lo:
-            own[-1] = (own[-1][0], hi)
-        else:
-            own.append((lo, hi))
-        lo = hi
-    return {i: Predicate(kind=alg.kind, ivs=tuple(own)) for i, own in ivs.items()}

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from collections import deque
 
@@ -13,13 +14,13 @@ from smalearn.algebra import (
     AlgebraError,
     Predicate,
     _cuts,
-    _dl_compress,
-    _dl_op,
+    _segment_holders,
     flat_boxes,
     member,
 )
 from smalearn.partition import _check_groups
 from smalearn.automata import ConcreteMealy, SMealy, Violation, restrict, shortlex_key
+from smalearn.bench import make_builtin
 from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import essential_characters
@@ -509,7 +510,113 @@ class FullTableSearch:
         return None
 
 
-# -- reference product normalization -------------------------------------------
+# -- reference product Boolean operations ----------------------------------------
+#
+# Product predicates as ``Algebra`` built and combined them on decision lists
+# before they were built on the label map of ``_first_match_node``.  A
+# decision list is an ascending tuple of ``(cut, rest)`` pairs covering the
+# first axis from its minimum, ``rest`` the canonical predicate over the
+# remaining axes (1-D at the base).  ``_pred_to_dl``, ``_dl_to_pred``,
+# ``_dl_compress``, ``_dl_op``, ``_dl_complement`` and ``_dl_at`` are copied
+# verbatim but for three things: methods of the algebra become functions of
+# ``alg``, the view each predicate kept of itself is gone, and operations
+# over the remaining axes recurse into this reference.
+
+
+def dl_from_boxes(alg: Algebra, boxes) -> Predicate:
+    """``Algebra.from_boxes`` on decision lists."""
+    boxes = tuple(b for b in map(tuple, boxes) if not any(c.is_false() for c in b))
+    return _dl_to_pred(alg, _pred_to_dl(alg, Predicate(kind="product", boxes=boxes)))
+
+
+def dl_meet(alg: Algebra, phi: Predicate, psi: Predicate) -> Predicate:
+    """``Algebra.meet`` on decision lists (1-D algebras use their own)."""
+    if alg.kind != "product":
+        return alg.meet(phi, psi)
+    return _dl_to_pred(alg, _dl_op(alg, _pred_to_dl(alg, phi), _pred_to_dl(alg, psi), "meet"))
+
+
+def dl_join(alg: Algebra, phi: Predicate, psi: Predicate) -> Predicate:
+    """``Algebra.join`` on decision lists (1-D algebras use their own)."""
+    if alg.kind != "product":
+        return alg.join(phi, psi)
+    return _dl_to_pred(alg, _dl_op(alg, _pred_to_dl(alg, phi), _pred_to_dl(alg, psi), "join"))
+
+
+def dl_complement(alg: Algebra, phi: Predicate) -> Predicate:
+    """``Algebra.complement`` on decision lists (1-D algebras use their own)."""
+    if alg.kind != "product":
+        return alg.complement(phi)
+    return _dl_to_pred(alg, _dl_complement(alg, _pred_to_dl(alg, phi)))
+
+
+def _pred_to_dl(alg: Algebra, phi: Predicate):
+    rest = alg._rest_algebra
+    cuts = _cuts(alg.components[0], (box[0] for box in phi.boxes))
+    entries = []
+    for c, rest_boxes in zip(cuts, _segment_holders(cuts, phi.boxes)):
+        entries.append((c, dl_from_boxes(rest, rest_boxes) if rest.kind == "product"
+                        else rest.union(*(b[0] for b in rest_boxes))))
+    return _dl_compress(entries)
+
+
+def _dl_to_pred(alg: Algebra, dl) -> Predicate:
+    axis0 = alg.components[0]
+    groups = []  # (rest predicate, [segments]) in first-appearance order
+    for i, (cut, rest) in enumerate(dl):
+        hi = dl[i + 1][0] if i + 1 < len(dl) else None
+        if rest.is_false():
+            continue
+        for g in groups:
+            if g[0] == rest:
+                g[1].append((cut, hi))
+                break
+        else:
+            groups.append((rest, [(cut, hi)]))
+    boxes = []
+    for rest, segs in groups:
+        comp0 = Predicate(kind=axis0.kind, ivs=axis0._norm_ivs(tuple(segs)))
+        if rest.kind == "product":
+            for sub in rest.boxes:
+                boxes.append((comp0,) + sub)
+        else:
+            boxes.append((comp0, rest))
+    return Predicate(kind="product", boxes=tuple(boxes))
+
+
+def _dl_compress(entries):
+    out = []
+    for cut, rest in entries:
+        if out and out[-1][1] == rest:
+            continue
+        out.append((cut, rest))
+    return tuple(out)
+
+
+def _dl_op(alg: Algebra, dl1, dl2, op: str):
+    rest_alg = alg._rest_algebra
+    cuts = sorted({c for c, _ in dl1} | {c for c, _ in dl2})
+    entries = []
+    for c in cuts:
+        r1 = _dl_at(dl1, c)
+        r2 = _dl_at(dl2, c)
+        entries.append((c, dl_meet(rest_alg, r1, r2) if op == "meet"
+                        else dl_join(rest_alg, r1, r2)))
+    return _dl_compress(entries)
+
+
+def _dl_complement(alg: Algebra, dl):
+    rest_alg = alg._rest_algebra
+    return _dl_compress([(c, dl_complement(rest_alg, r)) for c, r in dl])
+
+
+def _dl_at(dl, c):
+    value = dl[0][1]
+    for cut, rest in dl:
+        if cut > c:
+            break
+        value = rest
+    return value
 
 
 def norm_boxes_box_by_box(alg: Algebra, raw_boxes) -> Predicate:
@@ -517,9 +624,10 @@ def norm_boxes_box_by_box(alg: Algebra, raw_boxes) -> Predicate:
 
     This and ``_box_to_dl`` are the normalization behind ``Algebra.from_boxes``
     (``_norm_boxes`` and ``_box_to_dl`` at arity >= 2) as it was before all
-    boxes were cut in one pass, copied verbatim but for two things: the empty
-    start is written out rather than computed by ``_pred_to_dl``, and
-    products over the remaining axes recurse into this reference.
+    boxes were cut in one pass, copied verbatim but for three things: the empty
+    start is written out rather than computed by ``_pred_to_dl``, products over
+    the remaining axes recurse into this reference, and the decision-list
+    helpers are the ones above.
     """
     rest = alg._rest_algebra
     acc = ((alg.components[0].min_char(), rest.bottom()),)
@@ -528,7 +636,7 @@ def norm_boxes_box_by_box(alg: Algebra, raw_boxes) -> Predicate:
             continue
         single = _box_to_dl(alg, box)
         acc = _dl_op(alg, acc, single, "join")
-    return alg._dl_to_pred(acc)
+    return _dl_to_pred(alg, acc)
 
 
 def _box_to_dl(alg: Algebra, box):
@@ -669,3 +777,48 @@ def partition_product_by_cones(algebra: Algebra, groups) -> list[Predicate]:
             live.append(i)
         preds[i] = algebra.join(preds[i], captured)
     return preds
+
+
+# -- one-field mutations of machine files ------------------------------------------
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=10)
+DELETE = object()
+# values at the edge of what some field accepts; DELETE removes the field
+EDGE_VALUES = st.sampled_from([DELETE, None, True, -1, 0, 2 ** 63, 10 ** 400, -10 ** 400, 0.5,
+                               math.nan, math.inf, "0", [], {}, {"na": 0}, {"na": 10 ** 400}])
+
+
+def json_leaves(v, path=()):
+    """Paths to the scalars inside a JSON value."""
+    if not isinstance(v, (dict, list)):
+        yield path
+        return
+    for k, x in (v.items() if isinstance(v, dict) else enumerate(v)):
+        yield from json_leaves(x, path + (k,))
+
+
+def with_field(v, path, new):
+    """A copy of ``v`` with the field at ``path`` set to ``new``, or removed for DELETE."""
+    v = dict(v) if isinstance(v, dict) else list(v)
+    if len(path) > 1:
+        v[path[0]] = with_field(v[path[0]], path[1:], new)
+    elif new is DELETE:
+        del v[path[0]]
+    else:
+        v[path[0]] = new
+    return v
+
+
+MACHINE_FILES = [make_builtin(name).to_json() for name in ("mh", "worked-example")]
+
+
+@st.composite
+def one_field_mutants(draw):
+    data = draw(st.sampled_from(MACHINE_FILES))
+    path = draw(st.sampled_from(list(json_leaves(data))))
+    return with_field(data, path, draw(st.one_of(EDGE_VALUES, JSON_VALUES)))

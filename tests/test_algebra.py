@@ -4,6 +4,10 @@ import random
 import pytest
 from helpers import (
     GUARD_ALGEBRAS,
+    dl_complement,
+    dl_from_boxes,
+    dl_join,
+    dl_meet,
     domain_chars,
     endpoint_grid,
     guards,
@@ -290,11 +294,11 @@ def test_member_agrees_with_denotes_and_flat_boxes(kind, data):
         assert member(p, alg.norm_char(a)) == alg.denotes(p, a) == in_box, a
 
 
-# -- product predicates and their kept decision-list views ---------------------
+# -- product predicates against the decision-list reference -------------------
 
 
 def memo_free(p):
-    """A copy of product predicate ``p`` that has computed no view yet."""
+    """A fresh copy of product predicate ``p``, built from its boxes alone."""
     return Predicate(kind="product", boxes=p.boxes)
 
 
@@ -304,7 +308,7 @@ def test_product_boolean_laws_and_kept_views(kind, data):
     alg = GUARD_ALGEBRAS[kind]
     p, q = data.draw(guards(alg)), data.draw(guards(alg))
     results = {"meet": alg.meet(p, q), "join": alg.join(p, q), "complement": alg.complement(p)}
-    # the arguments now hold their views; an operation on copies without them agrees
+    # an operation on fresh copies of the arguments agrees
     assert results == {"meet": alg.meet(memo_free(p), memo_free(q)),
                        "join": alg.join(memo_free(p), memo_free(q)),
                        "complement": alg.complement(memo_free(p))}
@@ -316,10 +320,6 @@ def test_product_boolean_laws_and_kept_views(kind, data):
     for r in (p, q, *results.values()):
         copy = memo_free(r)
         assert r == copy and hash(r) == hash(copy) and repr(r) == repr(copy)
-        dl = alg._pred_to_dl(r)
-        assert alg._pred_to_dl(copy) == dl  # the kept view is the one a fresh pass computes
-        assert alg._dl_to_pred(dl) == r
-        assert alg._pred_to_dl(memo_free(alg._dl_to_pred(dl))) == dl
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,7 +329,6 @@ def test_normalization_matches_box_by_box_join(kind, data):
     raw = data.draw(raw_boxes(alg))
     got, want = alg.from_boxes(raw), norm_boxes_box_by_box(alg, raw)
     assert got == want  # box order included
-    assert got.__dict__["_dl"][1] == want.__dict__["_dl"][1]
 
 
 @pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
@@ -342,14 +341,40 @@ def test_union_matches_fold_over_join(kind, data):
                                max_size=5))
     got, want = alg.union(*preds), union_by_join(alg, *preds)
     assert got == want
-    if alg.kind == "product":  # the kept view too
-        assert got.__dict__["_dl"] == want.__dict__["_dl"]
+
+
+PRODUCT_4 = Algebra.product(Algebra.reals(), Algebra.naturals(bound=4),
+                            Algebra.reals(minimum=-5.0), Algebra.naturals())
+
+
+def first_axis_from(alg, minimum):
+    """``alg`` with its first axis replaced by the reals from ``minimum``."""
+    return Algebra.product(Algebra.reals(minimum=minimum), *alg.components[1:])
+
+
+@pytest.mark.parametrize("kind", ["product-2", "product-3", "product-4"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_operations_match_decision_list_reference(kind, data):
+    drawn = PRODUCT_4 if kind == "product-4" else GUARD_ALGEBRAS[kind]
+    p, q = data.draw(guards(drawn)), data.draw(guards(drawn))
+    raw = data.draw(raw_boxes(drawn))
+    # the same predicates under the algebra they were drawn from and under one whose
+    # first axis starts lower, where their complements cover more
+    for alg in (drawn, first_axis_from(drawn, -5.0)):
+        got = {"from_boxes": alg.from_boxes(raw), "union": alg.union(p, alg.bottom(), q),
+               "meet": alg.meet(p, q), "join": alg.join(p, q), "complement": alg.complement(p)}
+        want = {"from_boxes": dl_from_boxes(alg, raw),
+                "union": dl_from_boxes(alg, p.boxes + q.boxes),
+                "meet": dl_meet(alg, p, q), "join": dl_join(alg, p, q),
+                "complement": dl_complement(alg, p)}
+        assert {op: r.boxes for op, r in got.items()} == {op: r.boxes for op, r in want.items()}
 
 
 def test_kept_view_is_recomputed_under_another_algebra():
     at_0 = Algebra.product(Algebra.reals(minimum=0), Algebra.naturals())
     at_minus_5 = Algebra.product(Algebra.reals(minimum=-5), Algebra.naturals())
-    p = at_0.box((1.0, 2.0), (0, 3))  # built with its view under at_0
+    p = at_0.box((1.0, 2.0), (0, 3))  # built under at_0, then used under at_minus_5 too
     q = at_0.box((3.0, None), (2, None))
     assert at_0.join(p, q) == at_0.join(memo_free(p), memo_free(q))
     c = at_minus_5.complement(p)
@@ -357,6 +382,6 @@ def test_kept_view_is_recomputed_under_another_algebra():
     assert c == at_minus_5.complement(memo_free(p))
     assert at_minus_5.join(p, q) == at_minus_5.join(memo_free(p), memo_free(q))
     assert at_minus_5.meet(c, q) == at_minus_5.meet(memo_free(c), memo_free(q))
-    # and back: the view kept under at_minus_5 is not reused under at_0
+    # and back: under at_0 the complement starts at 0 again
     assert at_0.complement(p) == at_0.complement(memo_free(p))
     assert at_0.denotes(at_0.complement(p), (0.0, 0))

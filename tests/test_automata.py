@@ -9,10 +9,12 @@ from dataclasses import replace
 import pytest
 from helpers import (
     GUARD_ALGEBRAS,
+    JSON_VALUES,
     domain_chars,
     endpoint_grid,
     first_match_node_by_member,
     mutants,
+    one_field_mutants,
     sym_machines,
     symbolic_equiv_pairwise,
     validate_pairwise,
@@ -371,48 +373,6 @@ def test_json_real_endpoint_beyond_a_float_is_rejected(guard):
     data["transitions"][0]["guard"] = guard
     with pytest.raises(AlgebraError, match="^real characters must be finite"):
         SMealy.from_json(data)
-
-
-JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
-    lambda kids: st.one_of(st.lists(kids, max_size=3),
-                           st.dictionaries(st.text(max_size=4), kids, max_size=3)),
-    max_leaves=10)
-DELETE = object()
-# values at the edge of what some field accepts; DELETE removes the field
-EDGE_VALUES = st.sampled_from([DELETE, None, True, -1, 0, 2 ** 63, 10 ** 400, -10 ** 400, 0.5,
-                               math.nan, math.inf, "0", [], {}, {"na": 0}, {"na": 10 ** 400}])
-
-
-def json_leaves(v, path=()):
-    """Paths to the scalars inside a JSON value."""
-    if not isinstance(v, (dict, list)):
-        yield path
-        return
-    for k, x in (v.items() if isinstance(v, dict) else enumerate(v)):
-        yield from json_leaves(x, path + (k,))
-
-
-def with_field(v, path, new):
-    """A copy of ``v`` with the field at ``path`` set to ``new``, or removed for DELETE."""
-    v = dict(v) if isinstance(v, dict) else list(v)
-    if len(path) > 1:
-        v[path[0]] = with_field(v[path[0]], path[1:], new)
-    elif new is DELETE:
-        del v[path[0]]
-    else:
-        v[path[0]] = new
-    return v
-
-
-MACHINE_FILES = [make_builtin(name).to_json() for name in ("mh", "worked-example")]
-
-
-@st.composite
-def one_field_mutants(draw):
-    data = draw(st.sampled_from(MACHINE_FILES))
-    path = draw(st.sampled_from(list(json_leaves(data))))
-    return with_field(data, path, draw(st.one_of(EDGE_VALUES, JSON_VALUES)))
 
 
 @settings(max_examples=500, deadline=None)

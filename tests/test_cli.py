@@ -1,7 +1,13 @@
 import csv
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from helpers import one_field_mutants
+from hypothesis import given, settings
 
 from smalearn.automata import SMealy
 from smalearn.bench import make_worked_example
@@ -205,6 +211,9 @@ BAD_FILES = {
                                    ([0, float("nan")], [5, None])).encode(),
     "real-lower-beyond-float": machine_json({"kind": "interval-real"}, ([10 ** 400, None],)).encode(),
     "states-huge": machine_json({"kind": "interval-nat"}, states=10 ** 30).encode(),
+    "equality-carrier-unordered": json.dumps({  # members that do not sort together
+        "algebra": {"kind": "equality", "carrier": [1, "a"]}, "states": 1, "initial": 0,
+        "outputs": [], "transitions": []}).encode(),
 }
 
 
@@ -248,3 +257,19 @@ def test_unreadable_file_is_one_line_exit_1(tmp_path, capsys, command):
     assert stdout == ""
     [line] = err.strip().splitlines()
     assert line.startswith(f"smalearn: cannot read {path}: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=one_field_mutants())
+def test_mutated_machine_files_exit_with_a_code_and_one_line_diagnostics(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "machine.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for argv in (["equiv", path, path], ["learn", "--target", path]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert all(line.startswith("smalearn:") for line in err.getvalue().splitlines()), \
+                err.getvalue()
