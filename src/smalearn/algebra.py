@@ -13,7 +13,10 @@ Four algebra kinds are supported:
 
 Predicates are immutable and kept in a canonical normal form, so two
 predicates with equal denotations compare structurally equal.  ``hi = None``
-encodes an unbounded upper endpoint throughout.
+encodes an unbounded upper endpoint throughout.  An interval predicate is
+treated as one box on one axis, so interval and product predicates are
+built, combined and compiled on one label map (``_first_match_node`` and
+``read_labels``).
 """
 
 from __future__ import annotations
@@ -228,17 +231,17 @@ class Algebra:
                 raise AlgebraError(f"upper endpoint is not a finite real: {hi!r}")
             if hi <= lo:
                 raise AlgebraError(f"empty interval [{lo}, {hi})")
-        return Predicate(kind=self.kind, ivs=self._norm_ivs(((lo, hi),)))
+            if self.bound is not None and hi >= self.bound:
+                hi = None
+        return Predicate(kind=self.kind, ivs=((lo, hi),))
 
     def union(self, *preds: Predicate) -> Predicate:
         """Join of ``preds``, normalized once (equality predicates are joined one by one)."""
         for p in preds:
             self._check(p)
-        if self.kind in INTERVAL_KINDS:
-            return Predicate(kind=self.kind, ivs=self._norm_ivs([iv for p in preds for iv in p.ivs]))
-        if self.kind == "product":
-            return self.from_boxes([box for p in preds for box in p.boxes])
-        return reduce(self.join, preds, self.bottom())
+        if self.kind == "equality":
+            return reduce(self.join, preds, self.bottom())
+        return self._cells([box for p in preds for box in self._boxes(p)], True)
 
     def eq_chars(self, chars, negated: bool = False) -> Predicate:
         if self.kind != "equality":
@@ -296,51 +299,42 @@ class Algebra:
             for held in (negated, *holders.values()):  # co-finite guards always meet
                 overlaps.update(combinations(held, 2))
             find, table = (lambda a: explicit.get(a, default)), None
-        elif self.kind in INTERVAL_KINDS:
-            table = cuts, vals = _first_match_node(
-                (self,), [(phi, i) for i, phi in enumerate(guards)], values, overlaps)
-            find = lambda a: vals[bisect_right(cuts, a) - 1]
         else:
-            table = _first_match_node(
-                self.components, [box + (i,) for i, phi in enumerate(guards) for box in phi.boxes],
-                values, overlaps)
-
-            def find(a):
-                node = table
-                for x in a:
-                    cuts, vals = node
-                    node = vals[bisect_right(cuts, x) - 1]
-                return node
+            rows = [box + (i,) for i, phi in enumerate(guards) for box in self._boxes(phi)]
+            table = cuts, vals = _first_match_node(self._axes, rows, values, overlaps)
+            if self.kind != "product":
+                find = lambda a: vals[bisect_right(cuts, a) - 1]
+            else:
+                def find(a):
+                    node = table
+                    for x in a:
+                        cuts, vals = node
+                        node = vals[bisect_right(cuts, x) - 1]
+                    return node
         return find, table, tuple(sorted(overlaps)) if overlaps else ()
 
     def meet(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
         self._check(psi)
-        if self.kind in INTERVAL_KINDS:
-            return Predicate(kind=self.kind, ivs=_ivs_meet(phi.ivs, psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "meet")
-        return self._cells(self._cells(phi.boxes, None).boxes + self._cells(psi.boxes, None).boxes,
-                           None)
+        return self._cells([box for p in (phi, psi)
+                            for box in self._boxes(self._cells(self._boxes(p), None))], None)
 
     def join(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
         self._check(psi)
-        if self.kind in INTERVAL_KINDS:
-            return Predicate(kind=self.kind, ivs=self._norm_ivs(phi.ivs + psi.ivs))
         if self.kind == "equality":
             return self._eq_op(phi, psi, "join")
-        return self._cells(phi.boxes + psi.boxes, True)
+        return self._cells(self._boxes(phi) + self._boxes(psi), True)
 
     def complement(self, phi: Predicate) -> Predicate:
         self._check(phi)
-        if self.kind in INTERVAL_KINDS:
-            return Predicate(kind=self.kind, ivs=_ivs_complement(phi.ivs, self.min_char()))
         if self.kind == "equality":
             if self.carrier is not None:
                 return self._norm_eq(self.carrier - phi.chars, False)
             return self._norm_eq(phi.chars, not phi.negated)
-        return self._cells(phi.boxes, None)
+        return self._cells(self._boxes(phi), None)
 
     def is_empty(self, phi: Predicate) -> bool:
         self._check(phi)
@@ -420,60 +414,27 @@ class Algebra:
         return [[[lo, hi] for lo, hi in flat] for flat in flat_boxes(self, phi)]
 
     def pred_from_json(self, data) -> Predicate:
-        def endpoint(alg, v):
-            # upper endpoints may sit just outside the domain (e.g. the bound)
-            if isinstance(v, dict) and set(v) == {"na"}:
-                return alg.next_above(alg.char_from_json(v["na"]))
-            return v  # interval() checks its type
+        def axis_iv(axis, pair):
+            lo, hi = axis.char_from_json(pair[0]), pair[1]
+            # hi may sit just outside the domain (e.g. at the bound); interval() checks its type
+            if isinstance(hi, dict) and set(hi) == {"na"}:
+                hi = axis.char_from_json(hi)
+            return axis.interval(lo, hi)
 
-        def axis_iv(alg, pair):
-            lo = alg.char_from_json(pair[0])
-            hi = pair[1] if pair[1] is None else endpoint(alg, pair[1])
-            return alg.interval(lo, hi)
-
-        if self.kind in INTERVAL_KINDS:
-            parts = [axis_iv(self, box[0]) for box in data]
-            return self.union(*parts)
-        if self.kind != "product":
+        if self.kind == "equality":
             raise AlgebraError(f"no file guard form for kind {self.kind}")
         boxes = []
         for box in data:
             if len(box) != self.arity:
                 raise AlgebraError(f"box arity {len(box)} != {self.arity}")
-            boxes.append(tuple(axis_iv(c, pair) for c, pair in zip(self.components, box)))
-        return self.from_boxes(boxes)
+            boxes.append(tuple(axis_iv(axis, pair) for axis, pair in zip(self._axes, box)))
+        return self._cells(boxes, True)
 
     # -- internals ---------------------------------------------------------
 
     def _check(self, phi: Predicate):
         if phi.kind != self.kind:
             raise AlgebraError(f"predicate kind {phi.kind} does not match algebra {self.kind}")
-
-    def _norm_ivs(self, ivs) -> tuple:
-        out = []
-        for lo, hi in ivs:
-            if self.kind == "interval-nat" and self.bound is not None:
-                if lo >= self.bound:
-                    continue
-                if hi is not None and hi >= self.bound:
-                    hi = None
-            if self.kind == "interval-real":
-                if hi is not None and hi <= self.minimum:
-                    continue
-                lo = max(lo, self.minimum)
-            if hi is not None and hi <= lo:
-                continue
-            out.append((lo, hi))
-        out.sort(key=lambda iv: iv[0])
-        merged = []
-        for lo, hi in out:
-            if merged and (merged[-1][1] is None or lo <= merged[-1][1]):
-                last_lo, last_hi = merged[-1]
-                if last_hi is not None and (hi is None or hi > last_hi):
-                    merged[-1] = (last_lo, hi)
-            else:
-                merged.append((lo, hi))
-        return tuple(merged)
 
     def _norm_eq(self, chars: frozenset, negated: bool) -> Predicate:
         if self.carrier is not None:
@@ -497,11 +458,13 @@ class Algebra:
         pos, neg = (phi, psi) if not phi.negated else (psi, phi)
         return self._norm_eq(neg.chars - pos.chars, True)
 
-    # Product predicates are built on the label map of ``_first_match_node``
-    # (one cut list per axis, from the axis minimum) and read back by
-    # ``read_labels``: ``from_boxes`` and ``join`` read the cells their boxes
-    # cover, ``complement`` the cells they leave uncovered, and ``meet`` is
-    # the complement of the join of the two complements.
+    # Interval and product predicates are boxes over ``_axes`` (an interval
+    # predicate is one box on one axis), built on the label map of
+    # ``_first_match_node`` (one cut list per axis, from the axis minimum) and
+    # read back by ``read_labels``: ``from_boxes``, ``union`` and ``join`` read
+    # the cells their boxes cover, ``complement`` the cells they leave
+    # uncovered, and ``meet`` is the complement of the join of the two
+    # complements.
 
     @cached_property
     def _rest_algebra(self) -> "Algebra":
@@ -509,10 +472,20 @@ class Algebra:
             return self.components[1]
         return Algebra(kind="product", components=self.components[1:])
 
+    @cached_property
+    def _axes(self) -> tuple:
+        return self.components or (self,)
+
+    def _boxes(self, phi: Predicate) -> tuple:
+        """``phi`` as boxes over ``_axes``, one 1-D predicate per axis."""
+        if self.kind == "equality":
+            raise AlgebraError(f"no box form for kind {self.kind}")
+        return phi.boxes if self.components else ((phi,),)
+
     def _cells(self, boxes, label) -> Predicate:
         """The cells of the label map of ``boxes`` that carry ``label``: True where a
         box holds them, None where none does."""
-        node = _first_match_node(self.components, [tuple(box) + (0,) for box in boxes],
+        node = _first_match_node(self._axes, [tuple(box) + (0,) for box in boxes],
                                  (True,), set())
         return read_labels(self, node, (label,)).get(label, self.bottom())
 
@@ -621,42 +594,6 @@ def _claims(cuts, entries) -> dict:
     return claims
 
 
-# -- 1-D interval helpers ----------------------------------------------------
-
-
-def _ivs_meet(a, b) -> tuple:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        his = [h for h in (a[i][1], b[j][1]) if h is not None]
-        hi = min(his) if len(his) == 2 else (his[0] if his else None)
-        if hi is None or lo < hi:
-            out.append((lo, hi))
-        if a[i][1] is None:
-            j += 1
-        elif b[j][1] is None:
-            i += 1
-        elif a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
-def _ivs_complement(ivs, minimum) -> tuple:
-    out = []
-    cursor = minimum
-    for lo, hi in ivs:
-        if lo > cursor:
-            out.append((cursor, lo))
-        if hi is None:
-            return tuple(out)
-        cursor = max(cursor, hi)
-    out.append((cursor, None))
-    return tuple(out)
-
-
 def _flatten_box(box):
     """Expand a box with union components into single-interval boxes."""
     if not box:
@@ -671,11 +608,4 @@ def _flatten_box(box):
 
 def flat_boxes(algebra: Algebra, phi: Predicate):
     """Single-interval-per-axis decomposition of a canonical predicate."""
-    if algebra.kind in INTERVAL_KINDS:
-        return [((lo, hi),) for lo, hi in phi.ivs]
-    if algebra.kind != "product":
-        raise AlgebraError(f"flat_boxes undefined for kind {algebra.kind}")
-    out = []
-    for box in phi.boxes:
-        out.extend(_flatten_box(box))
-    return out
+    return [flat for box in algebra._boxes(phi) for flat in _flatten_box(box)]

@@ -73,25 +73,19 @@ class SMealy:
         self.n_states = n_states
         self.initial = initial
 
-        merged = {}
-        order = []
+        merged = {}  # (source, target, output) -> its guards, keys in first-seen order
         for source, guard, target, output in transitions:
             if not 0 <= source < n_states or not 0 <= target < n_states:
                 raise AutomatonError(f"transition state out of range: {source}->{target}")
             if guard.is_false():
                 raise AutomatonError(f"bottom guard on transition {source}->{target}")
-            output = str(output)
-            key = (source, target, output)
-            if key in merged:
-                merged[key] = algebra.join(merged[key], guard)
-            else:
-                merged[key] = guard
-                order.append(key)
+            merged.setdefault((source, target, str(output)), []).append(guard)
 
         # declared outputs first, then the others in transition order
-        self.outputs = tuple(dict.fromkeys([*(str(o) for o in outputs), *(o for _, _, o in order)]))
+        self.outputs = tuple(dict.fromkeys([*map(str, outputs), *(o for _, _, o in merged)]))
 
-        trans = [Transition(s, merged[(s, t, o)], t, o) for s, t, o in order]
+        trans = [Transition(s, gs[0] if len(gs) == 1 else algebra.union(*gs), t, o)
+                 for (s, t, o), gs in merged.items()]
         trans.sort(key=lambda tr: (tr.source, _char_key(algebra.witness(tr.guard))))
         self.transitions = tuple(trans)
         # per state with transitions: its transitions, lookup, table and overlapping pairs

@@ -36,7 +36,8 @@ def _load(path):
         return SMealy.load(path)
     except OSError as exc:
         _err(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError, AutomatonError, AlgebraError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError, AutomatonError,
+            AlgebraError) as exc:  # RecursionError: JSON nested too deeply to decode
         _err(f"cannot parse {path}: {exc}")
     return None
 
@@ -68,7 +69,7 @@ def cmd_learn(args) -> int:
     if args.init is not None:
         try:
             a0 = target.algebra.char_from_json(json.loads(args.init))
-        except (json.JSONDecodeError, AlgebraError) as exc:
+        except (json.JSONDecodeError, RecursionError, AlgebraError) as exc:
             _err(f"bad --init value: {exc}")
             return 2
 
@@ -146,9 +147,11 @@ def cmd_random(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    machines = [_load(path) for path in (args.fileA, args.fileB)]
-    if None in machines:
-        return 1
+    machines = []
+    for path in (args.fileA, args.fileB):  # one diagnostic: stop at the first bad file
+        machines.append(_load(path))
+        if machines[-1] is None:
+            return 1
     for m, path in zip(machines, (args.fileA, args.fileB)):
         violations = m.validate()
         if violations:

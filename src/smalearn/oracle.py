@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from operator import attrgetter
 
-from .algebra import AlgebraError, INTERVAL_KINDS, flat_boxes
 from .automata import ConcreteMealy, SMealy, restrict, state_partitions, symbolic_equiv
 from .partition import partitioner_for
 
@@ -27,24 +27,16 @@ class OracleAssumptionViolation(RuntimeError):
 
 
 def essential_characters(target: SMealy) -> list:
-    """Characters sufficient to identify all of the target's partitions."""
+    """Characters sufficient to identify all of the target's partitions: per state, the
+    grid of its guards' lower endpoints and the axis minima."""
     alg = target.algebra
-    if alg.kind in INTERVAL_KINDS:
-        chars = {alg.min_char()}
-        for tr in target.transitions:
-            chars.update(lo for lo, _hi in tr.guard.ivs)
-        return sorted(chars)
-    if alg.kind != "product":
-        raise AlgebraError(f"no essential-character extraction for kind {alg.kind}")
-    chars = {alg.min_char()}
-    for q in range(target.n_states):
-        axis_cuts = [{c.min_char()} for c in alg.components]
-        for tr in target.state_transitions(q):
-            for box in flat_boxes(alg, tr.guard):
-                for cuts, (lo, _hi) in zip(axis_cuts, box):
-                    cuts.add(lo)
-        chars.update(itertools.product(*(sorted(c) for c in axis_cuts)))
-    return sorted(chars)
+    chars = {tuple(axis.min_char() for axis in alg._axes)}  # grid points, 1-tuples in 1-D
+    for _q, trs in itertools.groupby(target.transitions, key=attrgetter("source")):
+        columns = zip(*(box for tr in trs for box in alg._boxes(tr.guard)))  # comps per axis
+        lows = ({axis.min_char(), *(lo for c in comps for lo, _hi in c.ivs)}
+                for axis, comps in zip(alg._axes, columns))
+        chars.update(itertools.product(*lows))
+    return sorted(chars if alg.components else (a for a, in chars))
 
 
 def check_partition_reconstruction(target: SMealy, chars):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from collections import deque
 
 from hypothesis import strategies as st
@@ -510,6 +511,134 @@ class FullTableSearch:
         return None
 
 
+# -- reference 1-D Boolean operations and essential characters ------------------
+#
+# Interval predicates as ``Algebra`` built and combined them on sorted interval
+# lists before they were built on the label map of ``_first_match_node``, one
+# box on one axis.  ``norm_ivs``, ``_ivs_meet`` and ``_ivs_complement`` are
+# ``Algebra._norm_ivs``, ``_ivs_meet`` and ``_ivs_complement`` copied verbatim
+# but for ``self`` becoming ``alg``; ``ivs_interval``, ``ivs_union``,
+# ``ivs_join``, ``ivs_meet`` and ``ivs_complement`` are the interval branches
+# of the methods that called them.
+
+
+def ivs_interval(alg: Algebra, lo, hi) -> Predicate:
+    if alg.kind not in INTERVAL_KINDS:
+        raise AlgebraError(f"interval undefined for kind {alg.kind}")
+    lo = alg.norm_char(lo)
+    if hi is not None:
+        number = not isinstance(hi, bool) and isinstance(hi, (int, float))
+        if alg.kind == "interval-nat":
+            if not number or isinstance(hi, float) and not hi.is_integer():
+                raise AlgebraError(f"upper endpoint is not a natural: {hi!r}")
+            hi = int(hi)
+        elif number and -sys.float_info.max <= hi <= sys.float_info.max:
+            hi = float(hi)
+        else:
+            raise AlgebraError(f"upper endpoint is not a finite real: {hi!r}")
+        if hi <= lo:
+            raise AlgebraError(f"empty interval [{lo}, {hi})")
+    return Predicate(kind=alg.kind, ivs=norm_ivs(alg, ((lo, hi),)))
+
+
+def ivs_union(alg: Algebra, *preds: Predicate) -> Predicate:
+    return Predicate(kind=alg.kind, ivs=norm_ivs(alg, [iv for p in preds for iv in p.ivs]))
+
+
+def ivs_join(alg: Algebra, phi: Predicate, psi: Predicate) -> Predicate:
+    return Predicate(kind=alg.kind, ivs=norm_ivs(alg, phi.ivs + psi.ivs))
+
+
+def ivs_meet(alg: Algebra, phi: Predicate, psi: Predicate) -> Predicate:
+    return Predicate(kind=alg.kind, ivs=_ivs_meet(phi.ivs, psi.ivs))
+
+
+def ivs_complement(alg: Algebra, phi: Predicate) -> Predicate:
+    return Predicate(kind=alg.kind, ivs=_ivs_complement(phi.ivs, alg.min_char()))
+
+
+def norm_ivs(alg: Algebra, ivs) -> tuple:
+    out = []
+    for lo, hi in ivs:
+        if alg.kind == "interval-nat" and alg.bound is not None:
+            if lo >= alg.bound:
+                continue
+            if hi is not None and hi >= alg.bound:
+                hi = None
+        if alg.kind == "interval-real":
+            if hi is not None and hi <= alg.minimum:
+                continue
+            lo = max(lo, alg.minimum)
+        if hi is not None and hi <= lo:
+            continue
+        out.append((lo, hi))
+    out.sort(key=lambda iv: iv[0])
+    merged = []
+    for lo, hi in out:
+        if merged and (merged[-1][1] is None or lo <= merged[-1][1]):
+            last_lo, last_hi = merged[-1]
+            if last_hi is not None and (hi is None or hi > last_hi):
+                merged[-1] = (last_lo, hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _ivs_meet(a, b) -> tuple:
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        his = [h for h in (a[i][1], b[j][1]) if h is not None]
+        hi = min(his) if len(his) == 2 else (his[0] if his else None)
+        if hi is None or lo < hi:
+            out.append((lo, hi))
+        if a[i][1] is None:
+            j += 1
+        elif b[j][1] is None:
+            i += 1
+        elif a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
+def _ivs_complement(ivs, minimum) -> tuple:
+    out = []
+    cursor = minimum
+    for lo, hi in ivs:
+        if lo > cursor:
+            out.append((cursor, lo))
+        if hi is None:
+            return tuple(out)
+        cursor = max(cursor, hi)
+    out.append((cursor, None))
+    return tuple(out)
+
+
+def essential_characters_two_branch(target: SMealy) -> list:
+    """``smalearn.oracle.essential_characters`` as it was with one branch for 1-D
+    and one for product algebras, copied verbatim but for its name and docstring."""
+    alg = target.algebra
+    if alg.kind in INTERVAL_KINDS:
+        chars = {alg.min_char()}
+        for tr in target.transitions:
+            chars.update(lo for lo, _hi in tr.guard.ivs)
+        return sorted(chars)
+    if alg.kind != "product":
+        raise AlgebraError(f"no essential-character extraction for kind {alg.kind}")
+    chars = {alg.min_char()}
+    for q in range(target.n_states):
+        axis_cuts = [{c.min_char()} for c in alg.components]
+        for tr in target.state_transitions(q):
+            for box in flat_boxes(alg, tr.guard):
+                for cuts, (lo, _hi) in zip(axis_cuts, box):
+                    cuts.add(lo)
+        chars.update(itertools.product(*(sorted(c) for c in axis_cuts)))
+    return sorted(chars)
+
+
 # -- reference product Boolean operations ----------------------------------------
 #
 # Product predicates as ``Algebra`` built and combined them on decision lists
@@ -519,8 +648,9 @@ class FullTableSearch:
 # remaining axes (1-D at the base).  ``_pred_to_dl``, ``_dl_to_pred``,
 # ``_dl_compress``, ``_dl_op``, ``_dl_complement`` and ``_dl_at`` are copied
 # verbatim but for three things: methods of the algebra become functions of
-# ``alg``, the view each predicate kept of itself is gone, and operations
-# over the remaining axes recurse into this reference.
+# ``alg`` (``_norm_ivs`` the copy below), the view each predicate kept of
+# itself is gone, and operations over the remaining axes recurse into this
+# reference.
 
 
 def dl_from_boxes(alg: Algebra, boxes) -> Predicate:
@@ -575,7 +705,7 @@ def _dl_to_pred(alg: Algebra, dl) -> Predicate:
             groups.append((rest, [(cut, hi)]))
     boxes = []
     for rest, segs in groups:
-        comp0 = Predicate(kind=axis0.kind, ivs=axis0._norm_ivs(tuple(segs)))
+        comp0 = Predicate(kind=axis0.kind, ivs=norm_ivs(axis0, tuple(segs)))
         if rest.kind == "product":
             for sub in rest.boxes:
                 boxes.append((comp0,) + sub)

@@ -4,6 +4,7 @@ import random
 import pytest
 from helpers import (
     GUARD_ALGEBRAS,
+    axis_pool,
     dl_complement,
     dl_from_boxes,
     dl_join,
@@ -11,6 +12,11 @@ from helpers import (
     domain_chars,
     endpoint_grid,
     guards,
+    ivs_complement,
+    ivs_interval,
+    ivs_join,
+    ivs_meet,
+    ivs_union,
     norm_boxes_box_by_box,
     raw_boxes,
     union_by_join,
@@ -266,6 +272,17 @@ def test_na_wrapper_in_json():
     p = alg.pred_from_json([[[0, {"na": 0.4}]]])
     assert alg.denotes(p, 0.4)
     assert not alg.denotes(p, alg.next_above(0.4))
+    assert NAT.pred_from_json([[[0, {"na": 4}]], [[{"na": 6}, None]]]) == ivs((0, 5), (7, None))
+
+
+def test_interval_file_guards_have_one_axis_per_box():
+    # a second axis in a box is an error, not silently dropped
+    with pytest.raises(AlgebraError, match=r"^box arity 2 != 1$"):
+        NAT.pred_from_json([[[0, 5], [7, 9]], [[5, None]]])
+    with pytest.raises(AlgebraError, match=r"^box arity 0 != 1$"):
+        REAL.pred_from_json([[]])
+    assert NAT.pred_from_json([[[0, 5]], [[7, 9]], [[5, None]]]) == NAT.top()
+    assert NAT.pred_from_json([]) == NAT.bottom()
 
 
 def test_algebra_descriptor_roundtrip():
@@ -297,28 +314,28 @@ def test_member_agrees_with_denotes_and_flat_boxes(kind, data):
 # -- product predicates against the decision-list reference -------------------
 
 
-def memo_free(p):
-    """A fresh copy of product predicate ``p``, built from its boxes alone."""
-    return Predicate(kind="product", boxes=p.boxes)
+def fresh_copy(p):
+    """A fresh copy of interval or product predicate ``p``, built from its payload alone."""
+    return Predicate(kind=p.kind, ivs=p.ivs, boxes=p.boxes)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["product-2", "product-3"]), st.data())
-def test_product_boolean_laws_and_kept_views(kind, data):
+def test_product_boolean_laws_and_structural_equality(kind, data):
     alg = GUARD_ALGEBRAS[kind]
     p, q = data.draw(guards(alg)), data.draw(guards(alg))
     results = {"meet": alg.meet(p, q), "join": alg.join(p, q), "complement": alg.complement(p)}
     # an operation on fresh copies of the arguments agrees
-    assert results == {"meet": alg.meet(memo_free(p), memo_free(q)),
-                       "join": alg.join(memo_free(p), memo_free(q)),
-                       "complement": alg.complement(memo_free(p))}
+    assert results == {"meet": alg.meet(fresh_copy(p), fresh_copy(q)),
+                       "join": alg.join(fresh_copy(p), fresh_copy(q)),
+                       "complement": alg.complement(fresh_copy(p))}
     for a in endpoint_grid(alg, [p, q]):
         in_p, in_q = member(p, a), member(q, a)
         assert member(results["meet"], a) == (in_p and in_q), a
         assert member(results["join"], a) == (in_p or in_q), a
         assert member(results["complement"], a) == (not in_p), a
     for r in (p, q, *results.values()):
-        copy = memo_free(r)
+        copy = fresh_copy(r)
         assert r == copy and hash(r) == hash(copy) and repr(r) == repr(copy)
 
 
@@ -371,17 +388,60 @@ def test_product_operations_match_decision_list_reference(kind, data):
         assert {op: r.boxes for op, r in got.items()} == {op: r.boxes for op, r in want.items()}
 
 
-def test_kept_view_is_recomputed_under_another_algebra():
+def test_operations_follow_the_algebra_not_the_predicate():
     at_0 = Algebra.product(Algebra.reals(minimum=0), Algebra.naturals())
     at_minus_5 = Algebra.product(Algebra.reals(minimum=-5), Algebra.naturals())
     p = at_0.box((1.0, 2.0), (0, 3))  # built under at_0, then used under at_minus_5 too
     q = at_0.box((3.0, None), (2, None))
-    assert at_0.join(p, q) == at_0.join(memo_free(p), memo_free(q))
+    assert at_0.join(p, q) == at_0.join(fresh_copy(p), fresh_copy(q))
     c = at_minus_5.complement(p)
     assert at_minus_5.denotes(c, (-3.0, 0))
-    assert c == at_minus_5.complement(memo_free(p))
-    assert at_minus_5.join(p, q) == at_minus_5.join(memo_free(p), memo_free(q))
-    assert at_minus_5.meet(c, q) == at_minus_5.meet(memo_free(c), memo_free(q))
+    assert c == at_minus_5.complement(fresh_copy(p))
+    assert at_minus_5.join(p, q) == at_minus_5.join(fresh_copy(p), fresh_copy(q))
+    assert at_minus_5.meet(c, q) == at_minus_5.meet(fresh_copy(c), fresh_copy(q))
     # and back: under at_0 the complement starts at 0 again
-    assert at_0.complement(p) == at_0.complement(memo_free(p))
+    assert at_0.complement(p) == at_0.complement(fresh_copy(p))
     assert at_0.denotes(at_0.complement(p), (0.0, 0))
+
+
+def test_interval_operations_follow_the_algebra_not_the_predicate():
+    at_0, at_minus_5 = Algebra.reals(minimum=0), Algebra.reals(minimum=-5)
+    p = at_0.union(at_0.interval(1.0, 2.0), at_0.interval(4.0, 6.0))  # used under both
+    q = at_0.interval(5.0, None)
+    c = at_minus_5.complement(p)
+    assert c.ivs == ((-5.0, 1.0), (2.0, 4.0), (6.0, None))
+    assert at_0.complement(p).ivs == ((0.0, 1.0), (2.0, 4.0), (6.0, None))
+    assert at_minus_5.meet(c, q).ivs == ((6.0, None),)
+    assert at_minus_5.meet(at_minus_5.complement(q), c).ivs == ((-5.0, 1.0), (2.0, 4.0))
+    assert at_minus_5.join(c, q).ivs == ((-5.0, 1.0), (2.0, 4.0), (5.0, None))
+    assert at_minus_5.join(c, p) == at_minus_5.union(c, p, q) == at_minus_5.top()
+    assert at_0.join(p, q) == at_minus_5.join(p, q)
+    for alg in (at_0, at_minus_5):
+        assert alg.complement(alg.complement(p)) == p
+
+
+# -- interval predicates against the sorted-interval reference ------------------
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_interval_operations_match_sorted_interval_reference(kind, data):
+    drawn = GUARD_ALGEBRAS[kind]
+    preds = st.one_of(guards(drawn), st.just(drawn.bottom()))
+    p, q, r = data.draw(preds), data.draw(preds), data.draw(preds)
+    lo = data.draw(st.sampled_from(axis_pool(drawn)))
+    hi = data.draw(st.one_of(st.none(), st.integers(1, 12).map(lambda d: lo + d)))  # past a bound
+    # the same predicates under the algebra they were drawn from and, for the reals,
+    # under one whose minimum is lower, where their complements cover more
+    lower = [Algebra.reals(minimum=drawn.minimum - 5.0)] if kind == "interval-real" else []
+    for alg in (drawn, *lower):
+        got = {"interval": alg.interval(lo, hi), "union": alg.union(p, q, r),
+               "join": alg.join(p, q), "meet": alg.meet(p, q), "complement": alg.complement(p)}
+        want = {"interval": ivs_interval(alg, lo, hi), "union": ivs_union(alg, p, q, r),
+                "join": ivs_join(alg, p, q), "meet": ivs_meet(alg, p, q),
+                "complement": ivs_complement(alg, p)}
+        assert got == want
+        # endpoint types included: 0 and 0.0 compare equal, but print differently in files
+        assert {op: repr(x.ivs) for op, x in got.items()} == \
+            {op: repr(x.ivs) for op, x in want.items()}

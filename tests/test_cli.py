@@ -214,16 +214,21 @@ BAD_FILES = {
     "equality-carrier-unordered": json.dumps({  # members that do not sort together
         "algebra": {"kind": "equality", "carrier": [1, "a"]}, "states": 1, "initial": 0,
         "outputs": [], "transitions": []}).encode(),
+    "nat-box-two-axes": json.dumps({  # read as [0,5) and [5,inf), it would equal itself
+        "algebra": {"kind": "interval-nat"}, "states": 1, "initial": 0, "outputs": ["a"],
+        "transitions": [{"from": 0, "guard": [[[0, 5], [7, 9]], [[5, None]]], "to": 0,
+                         "out": "a"}]}).encode(),
+    "nested-too-deep": b"[" * 100000 + b"]" * 100000,
 }
 
 
 def learn_or_equiv(command, path, good):
     if command == "learn":
         return ["learn", "--target", str(path)]
-    return ["equiv", str(good), str(path)]
+    return ["equiv", str(path if command == "equiv-itself" else good), str(path)]
 
 
-@pytest.mark.parametrize("command", ["learn", "equiv"])
+@pytest.mark.parametrize("command", ["learn", "equiv", "equiv-itself"])
 @pytest.mark.parametrize("content", sorted(BAD_FILES))
 def test_unparsable_file_is_one_line_exit_1(tmp_path, capsys, command, content):
     good, path = tmp_path / "good.json", tmp_path / "bad.json"
@@ -234,6 +239,15 @@ def test_unparsable_file_is_one_line_exit_1(tmp_path, capsys, command, content):
     assert stdout == ""
     [line] = err.strip().splitlines()
     assert line.startswith(f"smalearn: cannot parse {path}: ")
+
+
+def test_init_nested_too_deep_is_one_line_exit_2(capsys):
+    init = "[" * 5000 + "]" * 5000
+    code, stdout, err = run_cli(capsys, "learn", "--bench", "worked-example", "--init", init)
+    assert code == 2
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith("smalearn: bad --init value: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("command", ["learn", "equiv"])

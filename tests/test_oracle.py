@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import GUARD_ALGEBRAS, FullTableSearch, mutants, sym_machines
+from helpers import (
+    GUARD_ALGEBRAS,
+    FullTableSearch,
+    essential_characters_two_branch,
+    mutants,
+    sym_machines,
+)
 from smalearn.algebra import Algebra, AlgebraError
 from smalearn.automata import SMealy, symbolic_equiv
 from smalearn.bench import (
@@ -124,6 +130,16 @@ def test_essential_characters_equality_unsupported():
     m = SMealy(eq, 1, 0, [], [(0, eq.top(), 0, "o")])
     with pytest.raises(AlgebraError):
         essential_characters(m)
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
+                                  "product-2", "product-3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_essential_characters_match_two_branch_reference(kind, data):
+    target = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=True))
+    got, want = essential_characters(target), essential_characters_two_branch(target)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_reconstruction_check_passes_on_worked_example():
