@@ -310,26 +310,23 @@ def restrict(m: SMealy, sigma) -> ConcreteMealy:
     return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
 
 
-_EMPTY = frozenset()
-
-
 def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
     """Per state, normalized ``chars`` grouped by the (successor, output) they reach, partitioned.
 
     Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
-    pairs over every state/output key (states ascending, outputs in declared
-    order), so ``partition`` sees the same group layout for every state.
+    pairs of the groups that hold samples, ordered by successor and then by the
+    output's rank in ``machine.outputs``.  Only those groups are partitioned, so
+    no predicate is bottom.
 
     ``memo`` maps a state to its groups and predicates, both keyed by
     (successor, output), from an earlier call on a machine whose states and
-    keys mean the same.  A state keeps its predicates while every earlier
-    sample stays in its key's group and every new one lies inside its key's
-    predicate (bottom for a key new to the layout), which a stable
-    ``partition`` would reproduce; otherwise it is partitioned again.
+    outputs mean the same.  A state keeps its predicates while its groups keep
+    their keys, every earlier sample stays in its group and every new one lies
+    inside its group's predicate, which a stable ``partition`` would reproduce;
+    otherwise it is partitioned again.
     """
-    keys = [(t, o) for t in range(machine.n_states) for o in machine.outputs]
+    rank = {o: i for i, o in enumerate(machine.outputs)}
     memo = {} if memo is None else memo
-    bottom = algebra.bottom()
     for q in range(machine.n_states):
         groups = defaultdict(set)
         for a in chars:
@@ -337,26 +334,19 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
         old = memo.get(q)
         if old is not None and _grows_inside(*old, groups):
             preds = old[1]
-            if len(preds) < len(keys):  # new states or outputs add empty groups
-                preds = {key: preds.get(key, bottom) for key in keys}
         else:
-            preds = dict(zip(keys, partition(algebra, [groups.get(key, _EMPTY) for key in keys])))
+            keys = sorted(groups, key=lambda key: (key[0], rank[key[1]]))
+            preds = dict(zip(keys, partition(algebra, [groups[key] for key in keys])))
         memo[q] = (groups, preds)
         yield q, preds.items()
 
 
 def _grows_inside(old_groups, old_preds, groups) -> bool:
-    """Whether ``groups`` only add samples, each inside its key's predicate in ``old_preds``."""
-    for key, before in old_groups.items():
-        if not before <= groups.get(key, _EMPTY):
-            return False
-    for key, group in groups.items():
-        added = group - old_groups.get(key, _EMPTY)
-        if added:
-            pred = old_preds.get(key)
-            if pred is None or not all(member(pred, a) for a in added):
-                return False
-    return True
+    """Whether ``groups`` has the keys of ``old_groups`` and only adds samples to them,
+    each inside its key's predicate in ``old_preds``."""
+    return groups.keys() == old_groups.keys() and all(
+        old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
+        for key, g in groups.items())
 
 
 def symbolic_equiv(m1: SMealy, m2: SMealy):

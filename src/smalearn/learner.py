@@ -56,16 +56,15 @@ def build_evidence(table: ObservationTable) -> ConcreteMealy:
 def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
     """Generalize evidence characters into predicates, one state at a time.
 
-    For each state the alphabet is grouped by (successor, output) and
-    partitioned with the layout ``state_partitions`` fixes, which also
-    explains ``memo``.
+    For each state the alphabet is grouped by (successor, output), and the
+    groups that hold samples are partitioned into one transition each (see
+    ``state_partitions``, which also explains ``memo``).
     """
     partition = partitioner_for(algebra)
-    transitions = []
-    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition, memo):
-        for (target, output), pred in pairs:
-            if not pred.is_false():
-                transitions.append((q, pred, target, output))
+    transitions = [(q, pred, target, output)
+                   for q, pairs in state_partitions(evidence, evidence.alphabet, algebra,
+                                                    partition, memo)
+                   for (target, output), pred in pairs]
     return SMealy(algebra, evidence.n_states, evidence.initial,
                   evidence.outputs, transitions)
 

@@ -42,14 +42,17 @@ def essential_characters(target: SMealy) -> list:
 def check_partition_reconstruction(target: SMealy, chars):
     """Verify the partitioning function rebuilds every state's partition."""
     alg = target.algebra
+    bottom = alg.bottom()
     for q, pairs in state_partitions(target, chars, alg, partitioner_for(alg)):
+        rebuilt = dict(pairs)
         guards = {(tr.target, tr.output): tr.guard for tr in target.state_transitions(q)}
-        for key, pred in pairs:
-            expected = guards.get(key, alg.bottom())
-            if pred != expected:
-                raise OracleAssumptionViolation(
-                    f"state {q}, group {key}: partitioning function rebuilds "
-                    f"{pred!r} instead of {expected!r}")
+        if rebuilt != guards:  # name the first differing key in state_partitions' order
+            key = min((k for k in rebuilt.keys() | guards.keys()
+                       if rebuilt.get(k, bottom) != guards.get(k, bottom)),
+                      key=lambda k: (k[0], target.outputs.index(k[1])))
+            raise OracleAssumptionViolation(
+                f"state {q}, group {key}: partitioning function rebuilds "
+                f"{rebuilt.get(key, bottom)!r} instead of {guards.get(key, bottom)!r}")
 
 
 class OutputOracle:

@@ -2,7 +2,10 @@
 
 Every function here takes an ordered list of pairwise-disjoint finite sample
 sets and returns a same-length list of predicates that are pairwise disjoint,
-jointly cover the domain, and contain their samples.  The functions are
+jointly cover the domain, and contain their samples; an empty group gets
+bottom.  For intervals and products a group's predicate depends neither on
+the empty groups nor on the groups' order, so ``automata.state_partitions``
+passes only the groups that hold samples.  The functions are
 deterministic and *stable*: enlarging each sample set within its own output
 predicate does not change the result.  Stability is what lets a learner keep
 refining sample sets without invalidating predicates it already inferred,
@@ -73,14 +76,16 @@ def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
 
 
 def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
-    """Each group keeps exactly its samples; the first group (index 0) absorbs the rest."""
+    """Each group keeps exactly its samples; the first group that holds samples absorbs the
+    rest of the domain, and every empty group gets bottom."""
     if algebra.kind != "equality":
         raise AlgebraError(f"partition_equality needs the equality algebra, got {algebra.kind}")
     normd = _check_groups(algebra, groups)
-    others = frozenset(a for i, g in normd.items() if i for a in g)
+    first, *rest = normd  # the indices of the groups that hold samples, ascending
+    preds = {i: algebra.eq_chars(normd[i]) for i in rest}
+    preds[first] = algebra.complement(algebra.eq_chars(a for i in rest for a in normd[i]))
     bottom = algebra.bottom()
-    return [algebra.complement(algebra.eq_chars(others))] + [
-        algebra.eq_chars(normd[i]) if i in normd else bottom for i in range(1, len(groups))]
+    return [preds.get(i, bottom) for i in range(len(groups))]
 
 
 def partition_product(algebra: Algebra, groups) -> list[Predicate]:

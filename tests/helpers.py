@@ -5,7 +5,7 @@ import itertools
 import math
 import random
 import sys
-from collections import deque
+from collections import defaultdict, deque
 
 from hypothesis import strategies as st
 
@@ -907,6 +907,62 @@ def partition_product_by_cones(algebra: Algebra, groups) -> list[Predicate]:
             live.append(i)
         preds[i] = algebra.join(preds[i], captured)
     return preds
+
+
+# -- reference state partitions over the full key layout ---------------------------
+
+
+_EMPTY = frozenset()
+
+
+def state_partitions_full_layout(machine, chars, algebra: Algebra, partition, memo=None):
+    """Per state, normalized ``chars`` grouped by the (successor, output) they reach, partitioned.
+
+    This is ``smalearn.automata.state_partitions`` as it was when it passed
+    ``partition`` every (successor, output) key of ``range(n_states) x outputs``,
+    empty groups included, copied verbatim but for its name and docstring.
+    """
+    keys = [(t, o) for t in range(machine.n_states) for o in machine.outputs]
+    memo = {} if memo is None else memo
+    bottom = algebra.bottom()
+    for q in range(machine.n_states):
+        groups = defaultdict(set)
+        for a in chars:
+            groups[machine.step(q, a)].add(a)
+        old = memo.get(q)
+        if old is not None and _grows_inside_full_layout(*old, groups):
+            preds = old[1]
+            if len(preds) < len(keys):  # new states or outputs add empty groups
+                preds = {key: preds.get(key, bottom) for key in keys}
+        else:
+            preds = dict(zip(keys, partition(algebra, [groups.get(key, _EMPTY) for key in keys])))
+        memo[q] = (groups, preds)
+        yield q, preds.items()
+
+
+def _grows_inside_full_layout(old_groups, old_preds, groups) -> bool:
+    """Whether ``groups`` only add samples, each inside its key's predicate in ``old_preds``."""
+    for key, before in old_groups.items():
+        if not before <= groups.get(key, _EMPTY):
+            return False
+    for key, group in groups.items():
+        added = group - old_groups.get(key, _EMPTY)
+        if added:
+            pred = old_preds.get(key)
+            if pred is None or not all(member(pred, a) for a in added):
+                return False
+    return True
+
+
+def sep_pred_full_layout(evidence: ConcreteMealy, algebra: Algebra, partition, memo=None) -> SMealy:
+    """``smalearn.learner.sep_pred`` on ``state_partitions_full_layout``: bottoms dropped."""
+    transitions = []
+    for q, pairs in state_partitions_full_layout(evidence, evidence.alphabet, algebra, partition,
+                                                 memo):
+        for (target, output), pred in pairs:
+            if not pred.is_false():
+                transitions.append((q, pred, target, output))
+    return SMealy(algebra, evidence.n_states, evidence.initial, evidence.outputs, transitions)
 
 
 # -- one-field mutations of machine files ------------------------------------------

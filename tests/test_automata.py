@@ -608,10 +608,14 @@ def test_state_partitions_memo_keeps_only_what_partitioning_again_would_give(aft
     assert first[0] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
     kept_preds = memo[0][1]
     machine = evidence_from_state0(after, n_states=2)
-    again = [dict(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
+    again = [list(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
                                                           partition_intervals, memo)]
-    fresh = [dict(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
+    fresh = [list(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
                                                           partition_intervals)]
     assert again == fresh
-    assert all(len(preds) == 4 for preds in again)  # every key of the grown layout
+    # exactly the keys whose groups hold samples, by successor and then output rank
+    assert [[key for key, _ in pairs] for pairs in again] == [
+        sorted({machine.step(q, a) for a in machine.alphabet},
+               key=lambda key: (key[0], machine.outputs.index(key[1])))
+        for q in range(machine.n_states)]
     assert (memo[0][1].get((0, "a")) is kept_preds[(0, "a")]) == kept

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smalearn import automata, learner
 from smalearn.algebra import Algebra
-from smalearn.automata import SMealy, shortlex_key, symbolic_equiv
+from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
     make_atgs,
@@ -19,17 +19,22 @@ from smalearn.bench import (
 from smalearn.learner import LearningError, build_evidence, learn, sep_pred
 from smalearn.obstable import Defect, ObservationTable
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
+from smalearn.partition import partitioner_for
 
 NAT = Algebra.naturals()
 
 
+import helpers
 from helpers import (
     GOLDEN_COUNTEREXAMPLES,
     GOLDEN_REPAIRS,
     GOLDEN_TABLES,
+    GUARD_ALGEBRAS,
     RescanTable,
     as_snapshot,
     check_hypothesis_per_word,
+    sep_pred_full_layout,
+    sym_machines,
 )
 
 
@@ -438,3 +443,47 @@ def test_new_sigma_e_character_opens_a_gap_per_s_word():
         table.repair(defect)
         assert_table_consistent(table)
     assert filled == gaps
+
+
+def grown_evidence(target, chars, extra):
+    """``target`` restricted to ``chars``, plus ``extra`` states that loop on every character
+    with output "w" and ``extra`` declared outputs that no transition gives."""
+    base = restrict(target, chars)
+    n = base.n_states
+    delta = dict(base.delta)
+    delta.update({(q, a): (q, "w") for q in range(n, n + extra) for a in base.alphabet})
+    outputs = [*base.outputs, "w", *(f"v{i}" for i in range(extra))]
+    return ConcreteMealy(base.alphabet, n + extra, base.initial, outputs, delta)
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
+                                  "product-2", "product-3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sep_pred_matches_full_layout_reference_through_one_memo(kind, data):
+    """One memo per side, threaded through evidence machines whose alphabets are growing
+    prefixes of the essential characters (and whose states and outputs grow too): every
+    hypothesis is the reference's, transition order included, and both sides keep or
+    partition again the same states."""
+    alg = GUARD_ALGEBRAS[kind]
+    target = data.draw(sym_machines(alg, valid=True))
+    chars = essential_characters(target)
+    memo, ref_memo, kept, ref_kept = {}, {}, [], []
+
+    def recording(grows_inside, decisions):
+        def recorded(*args):
+            decisions.append(grows_inside(*args))
+            return decisions[-1]
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_grows_inside", recording(automata._grows_inside, kept))
+        mp.setattr(helpers, "_grows_inside_full_layout",
+                   recording(helpers._grows_inside_full_layout, ref_kept))
+        step = max(1, len(chars) // 10)  # at most about ten rounds on large grids
+        for extra, k in enumerate(sorted({*range(1, len(chars), step), len(chars)})):
+            evidence = grown_evidence(target, chars[:k], min(extra, 2))
+            hyp = sep_pred(evidence, alg, memo)
+            ref = sep_pred_full_layout(evidence, alg, partitioner_for(alg), ref_memo)
+            assert hyp == ref and hyp.transitions == ref.transitions
+            assert kept == ref_kept

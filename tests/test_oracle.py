@@ -12,6 +12,7 @@ from helpers import (
     mutants,
     sym_machines,
 )
+from smalearn import oracle
 from smalearn.algebra import Algebra, AlgebraError
 from smalearn.automata import SMealy, symbolic_equiv
 from smalearn.bench import (
@@ -145,6 +146,42 @@ def test_essential_characters_match_two_branch_reference(kind, data):
 def test_reconstruction_check_passes_on_worked_example():
     tgt = make_worked_example()
     check_partition_reconstruction(tgt, essential_characters(tgt))
+
+
+RECONSTRUCTION_TARGETS = {
+    "mh": make_mh(), "atgs": make_atgs(), "nat-20-10-3": random_sma(RandomSpec(20, 10, 3))}
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTION_TARGETS))
+def test_reconstruction_check_passes_with_essential_characters(name):
+    tgt = RECONSTRUCTION_TARGETS[name]
+    check_partition_reconstruction(tgt, essential_characters(tgt))
+
+
+@pytest.mark.parametrize("name,message", [
+    ("mh", "state 0, group (0, '{}'): partitioning function rebuilds <false> instead of "
+           "<[0,1)x[0,inf)x[-15,inf)x[0,inf) U [1,inf)x[0,inf)x[-15,inf)x[0,0.4000000000000001)>"),
+    ("nat-20-10-3", "state 0, group (4, 'o0'): partitioning function rebuilds <false> "
+                    "instead of <[641,938)>"),
+])
+def test_reconstruction_check_names_the_first_wrong_group_from_the_axis_minimum(name, message):
+    """With only the axis minimum, one group takes the whole domain; the first (successor,
+    output) key, by successor and then output rank, whose guard differs is named."""
+    tgt = RECONSTRUCTION_TARGETS[name]
+    with pytest.raises(OracleAssumptionViolation) as info:
+        check_partition_reconstruction(tgt, [tgt.algebra.min_char()])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTION_TARGETS))
+def test_reconstruction_check_catches_a_partitioner_that_rebuilds_bottoms(name, monkeypatch):
+    tgt = RECONSTRUCTION_TARGETS[name]
+    monkeypatch.setattr(oracle, "partitioner_for",
+                        lambda alg: lambda alg, groups: [alg.bottom() for _ in groups])
+    with pytest.raises(OracleAssumptionViolation, match=r"^state 0, group .* rebuilds <false>"):
+        check_partition_reconstruction(tgt, essential_characters(tgt))
+    with pytest.raises(OracleAssumptionViolation):
+        Oracle(tgt)
 
 
 def test_lexmin_counterexamples_match_reference_run():

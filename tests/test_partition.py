@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -171,6 +172,38 @@ def test_product_validity_and_stability_randomized(axes_spec):
             grown.append(extra)
         regrown = partition_product(alg, grown)
         assert regrown == preds, (groups, grown, preds, regrown)
+
+
+@pytest.mark.parametrize("name", ["nat", "real", "nn", "bn", "nnn", "rn"])
+def test_predicates_ignore_empty_groups_and_group_order(name):
+    """A group's predicate stays the same when empty groups are inserted anywhere and the
+    groups are permuted; empty groups get bottom.  ``state_partitions`` passes only the
+    groups that hold samples, in an order of its own, and relies on this."""
+    axis_map = {"n": Algebra.naturals(), "b": Algebra.naturals(bound=2), "r": Algebra.reals()}
+    rng = random.Random(f"reorder-{name}")
+    if name in ("nat", "real"):
+        alg = NAT if name == "nat" else Algebra.reals(minimum=-5.0)
+        draw = random_nat_groups
+    else:
+        alg = Algebra.product(*(axis_map[c] for c in name))
+        draw = functools.partial(random_product_groups, alg=alg)
+    partition = partitioner_for(alg)
+    for _ in range(200):
+        groups = draw(rng)
+        preds = partition(alg, groups)
+        slots = list(range(len(groups)))  # each new group's old index, None for an empty one
+        rng.shuffle(slots)
+        for _ in range(rng.randrange(4)):
+            slots.insert(rng.randrange(len(slots) + 1), None)
+        moved = partition(alg, [set() if i is None else groups[i] for i in slots])
+        assert moved == [alg.bottom() if i is None else preds[i] for i in slots], (groups, slots)
+
+
+def test_equality_first_group_with_samples_absorbs_the_rest():
+    preds = partition_equality(EQ, [set(), {2}, set(), {5}])
+    assert preds == [EQ.bottom(), EQ.complement(EQ.eq_chars({5})), EQ.bottom(),
+                     EQ.eq_chars({5})]
+    assert partition_equality(EQ, [{2}, {5}]) == [preds[1], preds[3]]
 
 
 def test_product_deterministic():
