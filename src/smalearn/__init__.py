@@ -29,7 +29,6 @@ from .oracle import (
 )
 from .partition import (
     PartitionError,
-    partition_equality,
     partition_intervals,
     partition_product,
     partitioner_for,
@@ -44,8 +43,7 @@ __all__ = [
     "Defect", "ObservationTable",
     "EquivOracle", "Oracle", "OracleAssumptionViolation", "OutputOracle",
     "ScriptedOracle", "essential_characters",
-    "PartitionError", "partition_equality", "partition_intervals",
-    "partition_product", "partitioner_for",
+    "PartitionError", "partition_intervals", "partition_product", "partitioner_for",
 ]
 
 __version__ = "0.1.0"

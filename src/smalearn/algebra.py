@@ -1,13 +1,11 @@
-"""Effective Boolean algebras over ordered and finite domains.
+"""Effective Boolean algebras over ordered domains.
 
-Four algebra kinds are supported:
+Three algebra kinds are supported:
 
 * ``interval-nat``: half-open intervals ``[lo, hi)`` over the naturals,
   optionally restricted to ``{0, ..., bound-1}``.
 * ``interval-real``: half-open intervals over finite 64-bit floats, with a
   configurable domain minimum.
-* ``equality``: finite and co-finite character sets, over the naturals or an
-  explicitly declared finite carrier.
 * ``product``: finite unions of boxes over a tuple of at least two 1-D
   interval algebras.
 
@@ -24,8 +22,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -42,23 +40,16 @@ class Predicate:
 
     Exactly one payload is populated, depending on ``kind``:
     ``ivs`` for 1-D interval algebras (sorted, disjoint, non-touching
-    half-open intervals), ``boxes`` for product algebras (disjoint boxes,
-    each box a tuple of per-axis 1-D predicates), and ``chars``/``negated``
-    for the equality algebra.
+    half-open intervals) and ``boxes`` for product algebras (disjoint boxes,
+    each box a tuple of per-axis 1-D predicates).
     """
 
     kind: str
     ivs: tuple = ()
     boxes: tuple = ()
-    chars: frozenset = field(default_factory=frozenset)
-    negated: bool = False
 
     def is_false(self) -> bool:
-        if self.kind in INTERVAL_KINDS:
-            return not self.ivs
-        if self.kind == "product":
-            return not self.boxes
-        return not self.chars and not self.negated
+        return not self.ivs and not self.boxes
 
     def __repr__(self):
         return f"<{format_predicate(self)}>"
@@ -80,22 +71,18 @@ def format_predicate(p: Predicate) -> str:
         for lo, hi in p.ivs:
             parts.append(f"[{format_char(lo)},{'inf' if hi is None else format_char(hi)})")
         return "U".join(parts)
-    if p.kind == "product":
-        boxes = []
-        for box in p.boxes:
-            boxes.append("x".join(format_predicate(c) for c in box))
-        return " U ".join(boxes)
-    inner = "{" + ",".join(format_char(c) for c in sorted(p.chars)) + "}"
-    return ("not " + inner) if p.negated else inner
+    boxes = []
+    for box in p.boxes:
+        boxes.append("x".join(format_predicate(c) for c in box))
+    return " U ".join(boxes)
 
 
 @dataclass(frozen=True)
 class Algebra:
-    """Descriptor and operation carrier for one effective Boolean algebra."""
+    """Descriptor of one effective Boolean algebra, and its operations."""
 
     kind: str
     components: tuple = ()
-    carrier: frozenset | None = None
     bound: int | None = None
     minimum: float = 0.0
 
@@ -108,20 +95,6 @@ class Algebra:
     @staticmethod
     def reals(minimum: float = 0.0) -> "Algebra":
         return Algebra(kind="interval-real", minimum=float(minimum))
-
-    @staticmethod
-    def equality(carrier=None) -> "Algebra":
-        if carrier is None:
-            return Algebra(kind="equality")
-        frozen = frozenset(carrier)
-        if not frozen:
-            raise AlgebraError("equality carrier must be non-empty")
-        try:
-            sorted(frozen)  # predicates and files list the carrier in order
-        except TypeError:
-            raise AlgebraError(f"equality carrier members do not sort together: {carrier!r}") \
-                from None
-        return Algebra(kind="equality", carrier=frozen)
 
     @staticmethod
     def product(*components: "Algebra") -> "Algebra":
@@ -143,8 +116,6 @@ class Algebra:
             return 0
         if self.kind == "interval-real":
             return self.minimum
-        if self.kind == "equality":
-            return min(self.carrier) if self.carrier is not None else 0
         return tuple(c.min_char() for c in self.components)
 
     def norm_char(self, a):
@@ -166,14 +137,6 @@ class Algebra:
             a = float(a)
             if a < self.minimum:
                 raise AlgebraError(f"below domain minimum {self.minimum}: {a!r}")
-            return a
-        if self.kind == "equality":
-            if self.carrier is not None:
-                if a not in self.carrier:
-                    raise AlgebraError(f"not in equality carrier: {a!r}")
-                return a
-            if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-                raise AlgebraError(f"not a natural: {a!r}")
             return a
         if not isinstance(a, tuple) or len(a) != self.arity:
             raise AlgebraError(f"expected {self.arity}-tuple, got {a!r}")
@@ -203,10 +166,6 @@ class Algebra:
     def top(self) -> Predicate:
         if self.kind in INTERVAL_KINDS:
             return Predicate(kind=self.kind, ivs=((self.min_char(), None),))
-        if self.kind == "equality":
-            if self.carrier is not None:
-                return Predicate(kind=self.kind, chars=self.carrier)
-            return Predicate(kind=self.kind, negated=True)
         return Predicate(kind="product", boxes=((tuple(c.top() for c in self.components)),))
 
     def interval(self, lo, hi) -> Predicate:
@@ -236,18 +195,10 @@ class Algebra:
         return Predicate(kind=self.kind, ivs=((lo, hi),))
 
     def union(self, *preds: Predicate) -> Predicate:
-        """Join of ``preds``, normalized once (equality predicates are joined one by one)."""
+        """Join of ``preds``, normalized once."""
         for p in preds:
             self._check(p)
-        if self.kind == "equality":
-            return reduce(self.join, preds, self.bottom())
         return self._cells([box for p in preds for box in self._boxes(p)], True)
-
-    def eq_chars(self, chars, negated: bool = False) -> Predicate:
-        if self.kind != "equality":
-            raise AlgebraError(f"eq_chars undefined for kind {self.kind}")
-        chars = frozenset(self.norm_char(c) for c in chars)
-        return self._norm_eq(chars, negated)
 
     def box(self, *comps) -> Predicate:
         """Product box from per-axis 1-D predicates or (lo, hi) pairs."""
@@ -282,58 +233,39 @@ class Algebra:
         ``find(a)`` returns ``values[i]`` for the first ``i`` whose guard holds
         the normalized character ``a``, or None, so overlapping or incomplete
         guard lists keep first-match semantics; ``overlaps`` lists every pair
-        ``(i, j)``, ``i < j``, of guards that meet, ascending.  Interval and
-        product guards become a ``table`` of cut lists (``_first_match_node``)
-        searched with ``bisect_right``; equality guards become a dict of
-        explicit characters plus a default, and ``table`` is None.
+        ``(i, j)``, ``i < j``, of guards that meet, ascending.  The guards
+        become a ``table`` of cut lists (``_first_match_node``) searched with
+        ``bisect_right``.
         """
         for phi in guards:
             self._check(phi)
         overlaps = set()
-        if self.kind == "equality":
-            chars = set().union(*(phi.chars for phi in guards))
-            holders = {c: [i for i, phi in enumerate(guards) if member(phi, c)] for c in chars}
-            explicit = {c: values[held[0]] if held else None for c, held in holders.items()}
-            negated = [i for i, phi in enumerate(guards) if phi.negated]
-            default = values[negated[0]] if negated else None
-            for held in (negated, *holders.values()):  # co-finite guards always meet
-                overlaps.update(combinations(held, 2))
-            find, table = (lambda a: explicit.get(a, default)), None
+        rows = [box + (i,) for i, phi in enumerate(guards) for box in self._boxes(phi)]
+        table = cuts, vals = _first_match_node(self._axes, rows, values, overlaps)
+        if self.kind != "product":
+            find = lambda a: vals[bisect_right(cuts, a) - 1]
         else:
-            rows = [box + (i,) for i, phi in enumerate(guards) for box in self._boxes(phi)]
-            table = cuts, vals = _first_match_node(self._axes, rows, values, overlaps)
-            if self.kind != "product":
-                find = lambda a: vals[bisect_right(cuts, a) - 1]
-            else:
-                def find(a):
-                    node = table
-                    for x in a:
-                        cuts, vals = node
-                        node = vals[bisect_right(cuts, x) - 1]
-                    return node
+            def find(a):
+                node = table
+                for x in a:
+                    cuts, vals = node
+                    node = vals[bisect_right(cuts, x) - 1]
+                return node
         return find, table, tuple(sorted(overlaps)) if overlaps else ()
 
     def meet(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
         self._check(psi)
-        if self.kind == "equality":
-            return self._eq_op(phi, psi, "meet")
         return self._cells([box for p in (phi, psi)
                             for box in self._boxes(self._cells(self._boxes(p), None))], None)
 
     def join(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
         self._check(psi)
-        if self.kind == "equality":
-            return self._eq_op(phi, psi, "join")
         return self._cells(self._boxes(phi) + self._boxes(psi), True)
 
     def complement(self, phi: Predicate) -> Predicate:
         self._check(phi)
-        if self.kind == "equality":
-            if self.carrier is not None:
-                return self._norm_eq(self.carrier - phi.chars, False)
-            return self._norm_eq(phi.chars, not phi.negated)
         return self._cells(self._boxes(phi), None)
 
     def is_empty(self, phi: Predicate) -> bool:
@@ -347,13 +279,6 @@ class Algebra:
             raise AlgebraError("witness of the empty predicate")
         if self.kind in INTERVAL_KINDS:
             return phi.ivs[0][0]
-        if self.kind == "equality":
-            if phi.negated:
-                n = 0
-                while n in phi.chars:
-                    n += 1
-                return n
-            return min(phi.chars)
         first = phi.boxes[0]
         return tuple(c.witness(comp) for c, comp in zip(self.components, first))
 
@@ -367,9 +292,6 @@ class Algebra:
             return d
         if self.kind == "interval-real":
             return {"kind": self.kind, "min": self.minimum}
-        if self.kind == "equality":
-            return {"kind": self.kind,
-                    "carrier": sorted(self.carrier) if self.carrier is not None else None}
         return {"kind": self.kind, "components": [c.to_json() for c in self.components]}
 
     @staticmethod
@@ -392,10 +314,12 @@ class Algebra:
                 raise AlgebraError(
                     f"algebra descriptor 'min' must be a finite number, got {minimum!r}")
             return Algebra.reals(minimum=minimum)
-        if kind == "equality":
-            return Algebra.equality(carrier=d.get("carrier"))
         if kind == "product":
-            return Algebra.product(*(Algebra.from_json(c) for c in d["components"]))
+            components = d.get("components")
+            if not isinstance(components, list):
+                raise AlgebraError(
+                    f"algebra descriptor 'components' must be a list, got {components!r}")
+            return Algebra.product(*(Algebra.from_json(c) for c in components))
         raise AlgebraError(f"unknown algebra kind: {kind!r}")
 
     def char_from_json(self, v):
@@ -421,8 +345,6 @@ class Algebra:
                 hi = axis.char_from_json(hi)
             return axis.interval(lo, hi)
 
-        if self.kind == "equality":
-            raise AlgebraError(f"no file guard form for kind {self.kind}")
         boxes = []
         for box in data:
             if len(box) != self.arity:
@@ -435,28 +357,6 @@ class Algebra:
     def _check(self, phi: Predicate):
         if phi.kind != self.kind:
             raise AlgebraError(f"predicate kind {phi.kind} does not match algebra {self.kind}")
-
-    def _norm_eq(self, chars: frozenset, negated: bool) -> Predicate:
-        if self.carrier is not None:
-            if negated:
-                chars = self.carrier - chars
-                negated = False
-        return Predicate(kind="equality", chars=frozenset(chars), negated=negated)
-
-    def _eq_op(self, phi: Predicate, psi: Predicate, op: str) -> Predicate:
-        if op == "meet":
-            if not phi.negated and not psi.negated:
-                return self._norm_eq(phi.chars & psi.chars, False)
-            if phi.negated and psi.negated:
-                return self._norm_eq(phi.chars | psi.chars, True)
-            pos, neg = (phi, psi) if not phi.negated else (psi, phi)
-            return self._norm_eq(pos.chars - neg.chars, False)
-        if not phi.negated and not psi.negated:
-            return self._norm_eq(phi.chars | psi.chars, False)
-        if phi.negated and psi.negated:
-            return self._norm_eq(phi.chars & psi.chars, True)
-        pos, neg = (phi, psi) if not phi.negated else (psi, phi)
-        return self._norm_eq(neg.chars - pos.chars, True)
 
     # Interval and product predicates are boxes over ``_axes`` (an interval
     # predicate is one box on one axis), built on the label map of
@@ -478,8 +378,6 @@ class Algebra:
 
     def _boxes(self, phi: Predicate) -> tuple:
         """``phi`` as boxes over ``_axes``, one 1-D predicate per axis."""
-        if self.kind == "equality":
-            raise AlgebraError(f"no box form for kind {self.kind}")
         return phi.boxes if self.components else ((phi,),)
 
     def _cells(self, boxes, label) -> Predicate:
@@ -494,8 +392,6 @@ def member(phi: Predicate, a) -> bool:
     """True iff ``a``, already normalized by ``norm_char``, is in ``phi``."""
     if phi.kind in INTERVAL_KINDS:
         return any(lo <= a and (hi is None or a < hi) for lo, hi in phi.ivs)
-    if phi.kind == "equality":
-        return (a in phi.chars) != phi.negated
     return any(all(member(comp, x) for comp, x in zip(box, a)) for box in phi.boxes)
 
 

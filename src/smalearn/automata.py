@@ -9,7 +9,6 @@ and JSON / DOT serialization.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from collections import defaultdict, deque
@@ -148,9 +147,7 @@ class SMealy:
                               for i, j in self._overlaps.get(q, ()))
             if not trs:
                 continue
-            table = self._tables[q]  # None for equality guards
-            uncovered = (alg.complement(alg.union(*(t.guard for t in trs))) if table is None
-                         else read_labels(alg, table, (None,)).get(None, alg.bottom()))
+            uncovered = read_labels(alg, self._tables[q], (None,)).get(None, alg.bottom())
             if not alg.is_empty(uncovered):
                 violations.append(Violation(q, "incomplete", (uncovered,)))
         return violations
@@ -356,10 +353,9 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
     guards raises ``AutomatonError``.  Breadth-first product exploration:
     state pairs are expanded in FIFO order, transition pairs in canonical
     stored order, and each frontier character is the minimum of the meet of
-    the two guards, so the witness is deterministic.  Interval and product
-    guards are not met: merging the two states' compiled tables (see
-    ``first_match``) gives each meeting pair with that minimum.  Equality
-    guards are met pairwise."""
+    the two guards, so the witness is deterministic.  Guards are not met:
+    merging the two states' compiled tables (see ``first_match``) gives each
+    meeting pair with that minimum."""
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
@@ -370,12 +366,7 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
             if m._overlaps.get(q):
                 raise AutomatonError(f"state {q} has overlapping guards")
         trs1, trs2 = m1.state_transitions(q1), m2.state_transitions(q2)
-        if alg.kind == "equality":
-            for t1, t2 in itertools.product(trs1, trs2):
-                both = alg.meet(t1.guard, t2.guard)
-                if not alg.is_empty(both):
-                    yield (t1.target, t1.output), (t2.target, t2.output), alg.witness(both)
-        elif trs1 and trs2:
+        if trs1 and trs2:
             first = {}
             _meeting_cells(m1._tables[q1], m2._tables[q2], alg.arity, (), first)
             # a leaf value names one transition: equal (target, output) ones are merged

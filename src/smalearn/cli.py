@@ -174,6 +174,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if not (args.out or args.dot):
+        _err("export needs --out or --dot")
+        return 2
     try:
         machine = make_builtin(args.bench)
     except ValueError as exc:

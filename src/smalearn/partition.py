@@ -35,8 +35,6 @@ def partitioner_for(algebra: Algebra):
         return partition_intervals
     if algebra.kind == "product":
         return partition_product
-    if algebra.kind == "equality":
-        return partition_equality
     raise AlgebraError(f"no partitioning function for kind {algebra.kind}")
 
 
@@ -76,16 +74,9 @@ def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
 
 
 def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
-    """Each group keeps exactly its samples; the first group that holds samples absorbs the
-    rest of the domain, and every empty group gets bottom."""
-    if algebra.kind != "equality":
-        raise AlgebraError(f"partition_equality needs the equality algebra, got {algebra.kind}")
-    normd = _check_groups(algebra, groups)
-    first, *rest = normd  # the indices of the groups that hold samples, ascending
-    preds = {i: algebra.eq_chars(normd[i]) for i in rest}
-    preds[first] = algebra.complement(algebra.eq_chars(a for i in rest for a in normd[i]))
-    bottom = algebra.bottom()
-    return [preds.get(i, bottom) for i in range(len(groups))]
+    """Partitions no algebra kind and always raises ``AlgebraError``.  It exists only
+    because the benchmark's span list (``benchmarks/tracing.py`` ``SPANS``) wraps this name."""
+    raise AlgebraError(f"no partitioning function for kind {algebra.kind}")
 
 
 def partition_product(algebra: Algebra, groups) -> list[Predicate]:

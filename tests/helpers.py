@@ -157,8 +157,6 @@ GUARD_ALGEBRAS = {
     "interval-real": Algebra.reals(minimum=-5.0),
     "product-2": Algebra.product(Algebra.naturals(), Algebra.reals(minimum=-5.0)),
     "product-3": Algebra.product(Algebra.naturals(bound=3), Algebra.reals(), Algebra.naturals()),
-    "equality": Algebra.equality(),
-    "equality-carrier": Algebra.equality(carrier=[2, 3, 5, 7, 11]),
 }
 
 
@@ -167,10 +165,6 @@ def axis_pool(axis):
     if axis.kind == "interval-nat":
         return list(range(12 if axis.bound is None else axis.bound))
     return [axis.minimum + d for d in (0.0, 2.5, 5.0, 5.5, 8.0, 12.25)]
-
-
-def equality_pool(alg):
-    return sorted(alg.carrier) if alg.carrier is not None else list(range(6))
 
 
 @st.composite
@@ -198,9 +192,6 @@ def guards(alg):
     than drawing)."""
     if alg.kind in INTERVAL_KINDS:
         return axis_unions(alg)
-    if alg.kind == "equality":
-        return st.builds(alg.eq_chars, st.sets(st.sampled_from(equality_pool(alg)), max_size=4),
-                         st.booleans()).filter(lambda p: not p.is_false())
     box = st.tuples(*(axis_unions(axis) for axis in alg.components))
     return st.lists(box, min_size=1, max_size=3).map(alg.from_boxes)
 
@@ -254,14 +245,8 @@ def mutants(draw, target):
 def endpoint_grid(alg, preds):
     """Every endpoint of ``preds`` and its successor, per axis, combined.
 
-    Products give the grid of all per-axis values; the equality algebra gives
-    every explicit character plus characters no predicate names.
+    Products give the grid of all per-axis values.
     """
-    if alg.kind == "equality":
-        if alg.carrier is not None:
-            return sorted(alg.carrier)
-        named = set().union(*(p.chars for p in preds))
-        return sorted(named | set(equality_pool(alg)) | {100})
     axes = alg.components if alg.kind == "product" else (alg,)
     values = [{axis.min_char()} for axis in axes]
     for p in preds:
@@ -280,10 +265,6 @@ def endpoint_grid(alg, preds):
 
 def domain_chars(alg):
     """Arbitrary characters of ``alg``'s domain."""
-    if alg.kind == "equality":
-        if alg.carrier is not None:
-            return st.sampled_from(sorted(alg.carrier))
-        return st.integers(0, 20)
     axes = alg.components if alg.kind == "product" else (alg,)
     per_axis = []
     for axis in axes:

@@ -37,14 +37,9 @@ from smalearn.bench import (
 )
 from smalearn.learner import learn
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
-from smalearn.partition import (
-    partition_equality,
-    partition_intervals,
-    partition_product,
-)
+from smalearn.partition import partition_intervals, partition_product
 
 NAT = Algebra.naturals()
-EQ = Algebra.equality()
 
 
 def report(num, detail):
@@ -237,17 +232,6 @@ def test_criterion_6_property_suite():
                  else set(g) for g, p in zip(groups, preds)]
         assert partition_intervals(NAT, grown) == preds
 
-    rng = random.Random(60003)
-    for _ in range(1000):
-        groups = random_nat_groups(rng)
-        preds = partition_equality(EQ, groups)
-        assert_valid(EQ, groups, preds, range(0, 50, 7))
-        grown = [set(g) for g in groups]
-        for w in rng.sample(range(100, 200), 3):
-            if EQ.denotes(preds[0], w):
-                grown[0].add(w)
-        assert partition_equality(EQ, grown) == preds
-
     prod_algebras = [
         Algebra.product(Algebra.naturals(), Algebra.naturals()),
         Algebra.product(Algebra.naturals(bound=2), Algebra.naturals()),
@@ -288,12 +272,6 @@ def test_criterion_6_property_suite():
         return p
 
     law_check(NAT, nat_pred, lambda rng: rng.randrange(0, 60))
-
-    def eq_pred(rng):
-        chars = frozenset(rng.sample(range(20), rng.randrange(0, 5)))
-        return EQ.eq_chars(chars, negated=rng.random() < 0.5)
-
-    law_check(EQ, eq_pred, lambda rng: rng.randrange(0, 25))
 
     prod = Algebra.product(Algebra.naturals(), Algebra.naturals())
 

@@ -28,7 +28,6 @@ from smalearn.algebra import Algebra, AlgebraError, Predicate, flat_boxes, membe
 
 NAT = Algebra.naturals()
 REAL = Algebra.reals()
-EQ = Algebra.equality()
 
 
 def ivs(*pairs):
@@ -121,22 +120,6 @@ def test_interval_rejects_empty():
 def test_interval_upper_endpoint_needs_the_axis_type(alg, hi):
     with pytest.raises(AlgebraError, match="^upper endpoint is not a"):
         alg.interval(0, hi)
-
-
-def test_equality_ops():
-    a = EQ.eq_chars({1, 3})
-    b = EQ.eq_chars({3, 5})
-    assert EQ.meet(a, b) == EQ.eq_chars({3})
-    assert EQ.join(a, b) == EQ.eq_chars({1, 3, 5})
-    c = EQ.complement(a)
-    assert c.negated and c.chars == frozenset({1, 3})
-    assert EQ.denotes(c, 2) and not EQ.denotes(c, 3)
-    assert EQ.witness(c) == 0
-    assert EQ.witness(EQ.complement(EQ.eq_chars({0, 1, 2}))) == 3
-
-    fin = Algebra.equality(carrier={"a", "b", "c"})
-    assert fin.complement(fin.eq_chars({"a"})) == fin.eq_chars({"b", "c"})
-    assert fin.top() == fin.eq_chars({"a", "b", "c"})
 
 
 def test_product_basics():
@@ -287,16 +270,24 @@ def test_interval_file_guards_have_one_axis_per_box():
 
 def test_algebra_descriptor_roundtrip():
     for alg in (NAT, Algebra.naturals(bound=2), Algebra.reals(minimum=-2.5),
-                EQ, Algebra.equality(carrier=[1, 2, 3]),
                 Algebra.product(Algebra.naturals(bound=2), Algebra.reals())):
         assert Algebra.from_json(alg.to_json()) == alg
+
+
+@pytest.mark.parametrize("descriptor", [{"kind": "equality"},
+                                        {"kind": "equality", "carrier": [1, 2]}])
+def test_retired_equality_kind_is_unknown(descriptor):
+    with pytest.raises(AlgebraError, match=r"^unknown algebra kind: 'equality'$"):
+        Algebra.from_json(descriptor)
 
 
 def test_kind_mismatch_errors():
     with pytest.raises(AlgebraError):
         NAT.denotes(REAL.top(), 3)
     with pytest.raises(AlgebraError):
-        NAT.meet(NAT.top(), EQ.eq_chars({1}))
+        NAT.meet(NAT.top(), REAL.top())
+    with pytest.raises(AlgebraError):
+        NAT.join(GUARD_ALGEBRAS["product-2"].top(), NAT.top())
 
 
 @settings(max_examples=100, deadline=None)

@@ -293,6 +293,7 @@ def test_json_state_numbers_must_be_integers(field, value):
 NOT_AN_OBJECT = "must be an object"
 BAD_MIN = "'min' must be a finite number"
 BAD_BOUND = "'bound' must be null or an integer >= 1"
+NO_COMPONENTS = "'components' must be a list"
 
 
 @pytest.mark.parametrize("descriptor,message", [
@@ -316,6 +317,9 @@ BAD_BOUND = "'bound' must be null or an integer >= 1"
     pytest.param({"kind": "interval-nat", "bound": 0}, BAD_BOUND, id="bound-zero"),
     pytest.param({"kind": "product", "components": [{"kind": "interval-nat", "bound": -1}]},
                  BAD_BOUND, id="bound-negative-in-product"),
+    pytest.param({"kind": "product"}, NO_COMPONENTS, id="components-missing"),
+    pytest.param({"kind": "product", "components": 5}, NO_COMPONENTS, id="components-number"),
+    pytest.param({"kind": "product", "components": None}, NO_COMPONENTS, id="components-null"),
 ])
 def test_algebra_descriptor_must_be_an_object(descriptor, message):
     with pytest.raises(AlgebraError, match="^algebra descriptor " + re.escape(message)):
@@ -437,7 +441,7 @@ def test_step_matches_first_match_scan_on_generated_machines(kind, data):
 
 
 INTERVAL_GUARDS = ["interval-nat", "interval-nat-bounded", "interval-real"]
-ORDERED_GUARDS = [kind for kind in sorted(GUARD_ALGEBRAS) if not kind.startswith("equality")]
+ORDERED_GUARDS = sorted(GUARD_ALGEBRAS)
 
 
 @pytest.mark.parametrize("kind", INTERVAL_GUARDS + ["product-2", "product-3"])
@@ -474,21 +478,6 @@ def test_symbolic_equiv_rejects_overlapping_product_guards():
                                          (0, alg.box((3, None), (0.0, None)), 0, "B"),
                                          (0, alg.box((0, 3), (-5.0, 0.0)), 0, "B")])
     assert [v.kind for v in overlapping.validate()] == ["overlap", "incomplete"]
-    whole = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "S")])
-    for m1, m2 in ((overlapping, whole), (whole, overlapping)):
-        with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
-            symbolic_equiv(m1, m2)
-
-
-@pytest.mark.parametrize("kind,chars1,chars2", [
-    ("equality", {1, 2}, None),  # None: every character but 2
-    ("equality-carrier", {2, 3}, {3, 5, 7, 11}),
-])
-def test_symbolic_equiv_rejects_overlapping_equality_guards(kind, chars1, chars2):
-    alg = GUARD_ALGEBRAS[kind]
-    second = alg.eq_chars({2}, negated=True) if chars2 is None else alg.eq_chars(chars2)
-    overlapping = SMealy(alg, 1, 0, [], [(0, alg.eq_chars(chars1), 0, "S"), (0, second, 0, "B")])
-    assert [v.kind for v in overlapping.validate()] == ["overlap"]
     whole = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "S")])
     for m1, m2 in ((overlapping, whole), (whole, overlapping)):
         with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
@@ -538,7 +527,7 @@ def test_json_roundtrip_of_generated_machines(kind, data):
     ("interval-nat", -1), ("interval-nat", 2.5), ("interval-nat", True),
     ("interval-nat-bounded", 8), ("interval-real", -5.5), ("interval-real", float("inf")),
     ("product-2", (0, -6.0)), ("product-2", (-1, 0.0)), ("product-2", (0,)),
-    ("product-3", (3, 0.0, 0)), ("equality", -1), ("equality-carrier", 4),
+    ("product-3", (3, 0.0, 0)),
 ])
 def test_out_of_domain_character_raises_algebra_error(kind, bad):
     alg = GUARD_ALGEBRAS[kind]

@@ -133,6 +133,15 @@ def test_export_builtin(tmp_path, capsys):
     assert m.validate() == []
 
 
+def test_export_without_destination_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "export", "--bench", "mh")
+    assert code == 2
+    assert stdout == ""
+    assert err.strip().splitlines() == ["smalearn: export needs --out or --dot"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_learn_trace_goes_to_stderr(capsys):
     code, stdout, err = run_cli(capsys, "learn", "--bench", "worked-example", "--trace")
     assert code == 0
@@ -211,9 +220,8 @@ BAD_FILES = {
                                    ([0, float("nan")], [5, None])).encode(),
     "real-lower-beyond-float": machine_json({"kind": "interval-real"}, ([10 ** 400, None],)).encode(),
     "states-huge": machine_json({"kind": "interval-nat"}, states=10 ** 30).encode(),
-    "equality-carrier-unordered": json.dumps({  # members that do not sort together
-        "algebra": {"kind": "equality", "carrier": [1, "a"]}, "states": 1, "initial": 0,
-        "outputs": [], "transitions": []}).encode(),
+    "equality-kind": machine_json({"kind": "equality"}).encode(),  # a retired algebra kind
+    "product-no-components": machine_json({"kind": "product"}).encode(),
     "nat-box-two-axes": json.dumps({  # read as [0,5) and [5,inf), it would equal itself
         "algebra": {"kind": "interval-nat"}, "states": 1, "initial": 0, "outputs": ["a"],
         "transitions": [{"from": 0, "guard": [[[0, 5], [7, 9]], [[5, None]]], "to": 0,

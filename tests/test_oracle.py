@@ -126,13 +126,6 @@ def test_essential_characters_trivial():
     assert essential_characters(one_state((NAT.top(), "o"))) == [0]
 
 
-def test_essential_characters_equality_unsupported():
-    eq = Algebra.equality(carrier=[1, 2])
-    m = SMealy(eq, 1, 0, [], [(0, eq.top(), 0, "o")])
-    with pytest.raises(AlgebraError):
-        essential_characters(m)
-
-
 @pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
                                   "product-2", "product-3"])
 @settings(max_examples=40, deadline=None)

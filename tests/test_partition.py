@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalearn.algebra import Algebra
+from smalearn.algebra import Algebra, AlgebraError
 from smalearn.partition import (
     PartitionError,
-    partition_equality,
     partition_intervals,
     partition_product,
     partitioner_for,
 )
 
 NAT = Algebra.naturals()
-EQ = Algebra.equality()
 
 
 def check_partition(algebra, groups, preds, probe_chars):
@@ -59,22 +57,6 @@ def test_interval_errors():
         partition_intervals(NAT, [{1, 2}, {2}])
     with pytest.raises(PartitionError):
         partition_intervals(NAT, [set(), set()])
-
-
-def test_equality_examples():
-    a, b, c, d = 1, 2, 3, 4
-    preds = partition_equality(EQ, [{a}, {b}])
-    assert preds[1] == EQ.eq_chars({b})
-    assert preds[0] == EQ.complement(EQ.eq_chars({b}))
-
-    assert partition_equality(EQ, [{a}]) == [EQ.top()]
-
-    preds = partition_equality(EQ, [{a, c}, {b}, {d}])
-    carrier = range(6)
-    check_partition(EQ, [{a, c}, {b}, {d}], preds, carrier)
-    assert preds[1] == EQ.eq_chars({b})
-    assert preds[2] == EQ.eq_chars({d})
-    assert preds[0] == EQ.complement(EQ.eq_chars({b, d}))
 
 
 def test_product_two_singletons_split_first_axis():
@@ -135,23 +117,6 @@ def test_interval_validity_and_stability_randomized():
         assert partition_intervals(NAT, grown) == preds
 
 
-def test_equality_validity_and_stability_randomized():
-    rng = random.Random(203)
-    for _ in range(300):
-        groups = random_nat_groups(rng)
-        if not groups[0]:
-            groups[0].add(99)
-        preds = partition_equality(EQ, groups)
-        check_partition(EQ, groups, preds, range(50))
-        grown = [set(g) for g in groups]
-        # only group 1 can grow: other groups' predicates are exactly their samples
-        for _ in range(3):
-            w = rng.randrange(100, 200)
-            if EQ.denotes(preds[0], w):
-                grown[0].add(w)
-        assert partition_equality(EQ, grown) == preds
-
-
 @pytest.mark.parametrize("axes_spec", ["nn", "bn", "nnn", "rn"])
 def test_product_validity_and_stability_randomized(axes_spec):
     rng = random.Random(hash(axes_spec) % 10000)
@@ -199,13 +164,6 @@ def test_predicates_ignore_empty_groups_and_group_order(name):
         assert moved == [alg.bottom() if i is None else preds[i] for i in slots], (groups, slots)
 
 
-def test_equality_first_group_with_samples_absorbs_the_rest():
-    preds = partition_equality(EQ, [set(), {2}, set(), {5}])
-    assert preds == [EQ.bottom(), EQ.complement(EQ.eq_chars({5})), EQ.bottom(),
-                     EQ.eq_chars({5})]
-    assert partition_equality(EQ, [{2}, {5}]) == [preds[1], preds[3]]
-
-
 def test_product_deterministic():
     alg = Algebra.product(Algebra.naturals(), Algebra.naturals())
     groups = [{(0, 3), (4, 1)}, {(2, 2)}, {(5, 0)}]
@@ -216,8 +174,9 @@ def test_product_deterministic():
 
 def test_partitioner_dispatch():
     assert partitioner_for(NAT) is partition_intervals
-    assert partitioner_for(EQ) is partition_equality
     assert partitioner_for(Algebra.product(NAT, NAT)) is partition_product
+    with pytest.raises(AlgebraError, match=r"^no partitioning function for kind bogus$"):
+        partitioner_for(Algebra(kind="bogus"))
 
 
 @st.composite
