@@ -95,6 +95,7 @@ class SMealy:
             self._by_state[q] = trs = tuple(trs)
             self._find[q], self._tables[q], self._overlaps[q] = algebra.first_match(
                 [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs])
+        self._oracle_setup = None  # essential chars and restriction, once EquivOracle checks them
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)

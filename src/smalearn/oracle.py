@@ -18,7 +18,8 @@ import random
 from collections import deque
 from operator import attrgetter
 
-from .automata import ConcreteMealy, SMealy, restrict, state_partitions, symbolic_equiv
+from .automata import (ConcreteMealy, SMealy, _no_transition, restrict, state_partitions,
+                       symbolic_equiv)
 from .partition import partitioner_for
 
 
@@ -58,14 +59,19 @@ def check_partition_reconstruction(target: SMealy, chars):
 class OutputOracle:
     """Answers output queries; counts distinct words and total calls.
 
-    Each answered word is cached with the target state it leads to, and a
-    new word is run from the state of its longest answered prefix.  A
-    learner asks ``w·col`` after ``w``, so that costs about ``|col|`` steps.
+    Each character object is checked with ``norm_char`` when first seen,
+    before the cache lookup, and its normal form kept by identity (a value
+    key would take ``True`` for ``1``); a failed word moves no count.  Each
+    answered word is cached with the target state it leads to, and a new
+    word is run on the target's compiled tables from the state of its
+    longest answered prefix.  A learner asks ``w·col`` after ``w``, so that
+    costs about ``|col|`` steps.
     """
 
     def __init__(self, target: SMealy):
         self.target = target
         self._cache = {}  # answered word -> (state reached, output)
+        self._chars = {}  # id(a) -> (a, its normal form); holding a keeps id(a) from reuse
         self.distinct_queries = 0
         self.total_queries = 0
 
@@ -73,24 +79,32 @@ class OutputOracle:
         if not word:
             raise ValueError("output query needs a non-empty word")
         word = tuple(word)
-        self.total_queries += 1
+        chars = self._chars
+        for a in word:  # before the lookup: an equal cached word may hold other characters
+            if id(a) not in chars:
+                chars[id(a)] = a, self.target.algebra.norm_char(a)
         hit = self._cache.get(word)
         if hit is None:
             hit = self._cache[word] = self._run(word)
             self.distinct_queries += 1
+        self.total_queries += 1
         return hit[1]
 
     def _run(self, word):
-        cache = self._cache
+        cache, chars = self._cache, self._chars
         q, start = self.target.initial, 0
         for i in range(len(word) - 1, 0, -1):
             prefix = cache.get(word[:i])
             if prefix is not None:
                 q, start = prefix[0], i
                 break
-        step = self.target.step
+        finds = self.target._find
         for a in word[start:]:
-            q, out = step(q, a)
+            a = chars[id(a)][1]
+            hit = finds[q](a) if q in finds else None
+            if hit is None:
+                raise _no_transition(q, a)
+            q, out = hit
         return q, out
 
 
@@ -103,9 +117,12 @@ class EquivOracle:
         self.target = target
         self.mode = mode
         self.rng = random.Random(seed)
-        self.essential = essential_characters(target)
-        check_partition_reconstruction(target, self.essential)
-        self._restricted = restrict(target, self.essential)
+        if target._oracle_setup is None:  # once per target object, kept once checked
+            essential = essential_characters(target)
+            check_partition_reconstruction(target, essential)
+            target._oracle_setup = tuple(essential), restrict(target, essential)
+        essential, self._restricted = target._oracle_setup
+        self.essential = list(essential)
         self.queries = 0
 
     def query(self, hyp: SMealy):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     GUARD_ALGEBRAS,
     FullTableSearch,
+    domain_chars,
     essential_characters_two_branch,
     mutants,
     sym_machines,
@@ -18,6 +21,7 @@ from smalearn.automata import SMealy, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
     make_atgs,
+    make_builtin,
     make_lower_bound,
     make_mh,
     make_worked_example,
@@ -110,6 +114,125 @@ def test_output_oracle_resume_matches_run_and_counts(plan):
             assert oo.distinct_queries == len(seen)
     assert oo.query(words[-1]) == target.run(words[-1])
     assert oo.distinct_queries == len(seen)
+
+
+REAL = Algebra.reals(minimum=-5.0)
+
+
+@pytest.mark.parametrize("target,first,then", [
+    (make_worked_example(), (1,), (True,)),  # True == 1, and hashes alike
+    (make_worked_example(), (1,), (True, 0)),  # resumed from the state of (1,)
+    (SMealy(REAL, 1, 0, [], [(0, REAL.top(), 0, "x")]), (0.5,), (Fraction(1, 2),)),
+], ids=["bool", "bool-resumed", "fraction"])
+def test_output_query_checks_characters_an_equal_cached_word_holds(target, first, then):
+    teacher = Oracle(target)
+    assert teacher.output_query(first) == target.run(first)
+    with pytest.raises(AlgebraError):
+        target.run(then)
+    with pytest.raises(AlgebraError):
+        teacher.output_query(then)
+    assert (teacher.output.distinct_queries, teacher.output.total_queries) == (1, 1)
+
+
+def test_output_query_rejects_an_unhashable_character_without_counting():
+    teacher = Oracle(make_builtin("mh"))
+    for word in (([0, 0, 0, 0],), ((0, 0, 0, 0), [0, 0, 0, 0])):
+        with pytest.raises(AlgebraError, match="expected 4-tuple"):
+            teacher.output_query(word)
+    assert (teacher.output.distinct_queries, teacher.output.total_queries) == (0, 0)
+
+
+def _twin(alg, a):
+    """A valid character equal to ``a`` but another object."""
+    if alg.kind == "product":
+        return tuple([_twin(c, x) for c, x in zip(alg.components, a)])
+    if alg.kind == "interval-nat":
+        return float(a)
+    return int(a) if a.is_integer() else a + 0.0
+
+
+@st.composite
+def _hostile(draw, alg, a):
+    """A value ``norm_char`` rejects, often one equal to ``a`` or to a component of it."""
+    if alg.kind == "product":
+        i = draw(st.integers(0, alg.arity - 1))
+        bad = draw(_hostile(alg.components[i], a[i]))
+        return draw(st.sampled_from([a[:i] + (bad,) + a[i + 1:], a[:-1], a + a[:1], list(a)]))
+    return draw(st.sampled_from([Fraction(a), a == alg.min_char(), math.nan, math.inf,
+                                 -math.inf, alg.min_char() - 1, [a], (a,)]))
+
+
+@st.composite
+def _query_words(draw, alg):
+    """Words over a few domain characters, their equal twins and rejected values; words
+    extend or repeat earlier ones."""
+    pool = draw(st.lists(domain_chars(alg), min_size=1, max_size=4))
+
+    def char():
+        a = draw(st.sampled_from(pool))
+        how = draw(st.sampled_from(["same", "same", "twin", "twin", "hostile"]))
+        return a if how == "same" else _twin(alg, a) if how == "twin" else draw(_hostile(alg, a))
+
+    words = []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(st.sampled_from(["new", "extend", "repeat"])) if words else "new"
+        if how == "repeat":
+            words.append(draw(st.sampled_from(words)))
+        else:
+            base = draw(st.sampled_from(words)) if how == "extend" else ()
+            words.append(base + tuple(char() for _ in range(draw(st.integers(1, 3)))))
+    return words
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_output_queries_answer_and_count_as_run_does(kind, data):
+    """Each answer is ``SMealy.run``'s, or both raise ``AlgebraError``; a failed query
+    moves no count."""
+    alg = GUARD_ALGEBRAS[kind]
+    target = data.draw(sym_machines(alg, valid=True))
+    oo = OutputOracle(target)
+    seen = {}
+    for word in data.draw(_query_words(alg)):
+        try:
+            want = target.run(word)
+        except AlgebraError:
+            with pytest.raises(AlgebraError):
+                oo.query(word)
+        else:
+            assert oo.query(word) == want
+            seen[word] = seen.get(word, 0) + 1
+        assert (oo.distinct_queries, oo.total_queries) == (len(seen), sum(seen.values()))
+
+
+def test_oracles_on_one_target_check_it_once(monkeypatch):
+    checked = []
+    check = oracle.check_partition_reconstruction
+    monkeypatch.setattr(oracle, "check_partition_reconstruction",
+                        lambda target, chars: checked.append(target) or check(target, chars))
+    target, twin = make_builtin("mh"), make_builtin("mh")
+    first, second = Oracle(target, "random", seed=1), Oracle(target, "random", seed=1)
+    assert len(checked) == 1 and checked[0] is target
+    Oracle(twin)  # equal, but built apart: checked on its own
+    assert twin == target and len(checked) == 2 and checked[1] is twin
+
+    want = essential_characters(target)
+    first.essential.clear()
+    assert second.essential == want and Oracle(target).essential == want
+    hyp = SMealy(target.algebra, 1, 0, [], [(0, target.algebra.top(), 0, "x")])
+    assert second.equivalence_query(hyp) == Oracle(twin, "random", seed=1).equivalence_query(hyp)
+
+
+def test_a_failed_reconstruction_check_is_not_remembered(monkeypatch):
+    target = make_builtin("mh")
+    monkeypatch.setattr(oracle, "partitioner_for",
+                        lambda alg: lambda alg, groups: [alg.bottom() for _ in groups])
+    for _ in range(2):
+        with pytest.raises(OracleAssumptionViolation):
+            Oracle(target)
+    monkeypatch.undo()
+    assert Oracle(target).essential == essential_characters(target)
 
 
 def test_essential_characters_worked_example():
