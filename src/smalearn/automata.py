@@ -95,7 +95,7 @@ class SMealy:
             self._by_state[q] = trs = tuple(trs)
             self._find[q], self._tables[q], self._overlaps[q] = algebra.first_match(
                 [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs])
-        self._oracle_setup = None  # essential chars and restriction, once EquivOracle checks them
+        self._oracle_setup = None  # the essential characters, once EquivOracle checks them
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -295,17 +295,17 @@ class ConcreteMealy:
 def restrict(m: SMealy, sigma) -> ConcreteMealy:
     """Concrete machine agreeing with ``m`` on all words over ``sigma``."""
     chars = sorted({m.algebra.norm_char(a) for a in sigma}, key=_char_key)
-    if not chars:
-        raise AutomatonError("restriction alphabet must be non-empty")
-    delta = {}
-    for q in range(m.n_states):
-        find = m._find.get(q)
-        for a in chars:  # normalized already
-            hit = find(a) if find else None
-            if hit is None:
-                raise _no_transition(q, a)
-            delta[(q, a)] = hit
+    delta = {(q, a): hit for q in range(m.n_states) for a, hit in zip(chars, _steps(m, q, chars))}
     return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
+
+
+def _steps(m: SMealy, q: int, chars) -> list:
+    """``m.step(q, a)`` per character ``a`` of ``chars``, which are normalized already."""
+    find = m._find.get(q)
+    hits = [find(a) for a in chars] if find else [None] * len(chars)
+    if None in hits:
+        raise _no_transition(q, chars[hits.index(None)])
+    return hits
 
 
 def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
@@ -350,8 +350,8 @@ def _grows_inside(old_groups, old_preds, groups) -> bool:
 def symbolic_equiv(m1: SMealy, m2: SMealy):
     """None if the machines agree on every non-empty word, else a witness word.
 
-    Both machines must be deterministic: a reached state with overlapping
-    guards raises ``AutomatonError``.  Breadth-first product exploration:
+    Both machines must be deterministic and complete on reached states, or
+    ``AutomatonError`` is raised.  Breadth-first product exploration:
     state pairs are expanded in FIFO order, transition pairs in canonical
     stored order, and each frontier character is the minimum of the meet of
     the two guards, so the witness is deterministic.  Guards are not met:
@@ -360,22 +360,26 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
+    char = (lambda corner: corner) if alg.kind == "product" else (lambda corner: corner[0])
 
     def meeting(q1, q2):
         """``((target1, output1), (target2, output2), minimum)`` per meeting transition pair."""
         for m, q in ((m1, q1), (m2, q2)):
             if m._overlaps.get(q):
                 raise AutomatonError(f"state {q} has overlapping guards")
-        trs1, trs2 = m1.state_transitions(q1), m2.state_transitions(q2)
-        if trs1 and trs2:
-            first = {}
-            _meeting_cells(m1._tables[q1], m2._tables[q2], alg.arity, (), first)
-            # a leaf value names one transition: equal (target, output) ones are merged
-            rank1, rank2 = ({(t.target, t.output): i for i, t in enumerate(trs)}
-                            for trs in (trs1, trs2))
-            for (v1, v2), corner in sorted(first.items(),
-                                           key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):
-                yield v1, v2, (corner if alg.kind == "product" else corner[0])
+            if q not in m._tables:
+                raise _no_transition(q, alg.min_char())
+        first = {}
+        _meeting_cells(m1._tables[q1], m2._tables[q2], alg.arity, (), first)
+        for (v1, v2), corner in first.items():  # by ascending corner: the least uncovered one
+            if v1 is None or v2 is None:
+                raise _no_transition(q1 if v1 is None else q2, char(corner))
+        # a leaf value names one transition: equal (target, output) ones are merged
+        rank1, rank2 = ({(t.target, t.output): i for i, t in enumerate(m.state_transitions(q))}
+                        for m, q in ((m1, q1), (m2, q2)))
+        for (v1, v2), corner in sorted(first.items(),
+                                       key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):
+            yield v1, v2, char(corner)
 
     start = (m1.initial, m2.initial)
     seen = {start: ()}
@@ -396,8 +400,8 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
 def _meeting_cells(node1, node2, depth, corner, first):
     """Merge two compiled tables over ``depth`` axes, one level per axis over the ascending
     union of both cut lists, so cells come in lexicographic order of their lower corners.
-    ``first`` maps each pair of non-None leaf values to the lower corner (``corner`` plus
-    one cut per level) of the first cell where both hold."""
+    ``first`` maps each pair of leaf values to the lower corner (``corner`` plus one cut per
+    level) of the first cell where both hold; None stands for a cell that no guard holds."""
     (cuts1, vals1), (cuts2, vals2) = node1, node2
     last1, last2 = len(cuts1) - 1, len(cuts2) - 1
     i = j = 0
@@ -406,7 +410,7 @@ def _meeting_cells(node1, node2, depth, corner, first):
         c = max(cuts1[i], cuts2[j])
         if depth > 1:
             _meeting_cells(v1, v2, depth - 1, corner + (c,), first)
-        elif v1 is not None and v2 is not None and (v1, v2) not in first:
+        elif (v1, v2) not in first:
             first[(v1, v2)] = corner + (c,)
         if i < last1 and (j == last2 or cuts1[i + 1] <= cuts2[j + 1]):
             if j < last2 and cuts2[j + 1] == cuts1[i + 1]:

@@ -6,9 +6,10 @@ only from the target's *essential characters*: per state, the grid spanned
 by the lower endpoints of its guard boxes (plus the axis minima).  Feeding
 those characters to the partitioning function reproduces each state's guard
 partition, which is verified at construction; it is that property that lets
-a learner terminate without ever seeing other characters.  The random
-search of one query reads one product graph of hypothesis and target, built
-on demand for the pairs it reaches.
+a learner terminate without ever seeing other characters.  Both search
+modes of one query read one product graph of hypothesis and target over
+those characters, stepped on the two machines' compiled tables for the
+pairs it reaches.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import random
 from collections import deque
 from operator import attrgetter
 
-from .automata import (ConcreteMealy, SMealy, _no_transition, restrict, state_partitions,
-                       symbolic_equiv)
+from .automata import SMealy, _no_transition, _steps, state_partitions, symbolic_equiv
+from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .partition import partitioner_for
 
 
@@ -120,9 +121,8 @@ class EquivOracle:
         if target._oracle_setup is None:  # once per target object, kept once checked
             essential = essential_characters(target)
             check_partition_reconstruction(target, essential)
-            target._oracle_setup = tuple(essential), restrict(target, essential)
-        essential, self._restricted = target._oracle_setup
-        self.essential = list(essential)
+            target._oracle_setup = tuple(essential)
+        self.essential = list(target._oracle_setup)
         self.queries = 0
 
     def query(self, hyp: SMealy):
@@ -130,34 +130,17 @@ class EquivOracle:
         self.queries += 1
         if symbolic_equiv(hyp, self.target) is None:
             return None
-        cex = self._search(hyp, restrict(hyp, self.essential))
+        edges = _product_graph(hyp, self.target, self.essential)
+        start = (hyp.initial, self.target.initial)
+        cex = (_search_lexmin(edges, start) if self.mode == "lexmin"
+               else self._search_random(hyp, edges, start))
         if cex is None:
             raise OracleAssumptionViolation(
                 "hypothesis differs from the target but agrees on all words "
                 "over the essential characters")
         return cex
 
-    def _search(self, hyp_sym: SMealy, hyp: ConcreteMealy):
-        tgt = self._restricted
-        if self.mode == "lexmin":  # its own walk, to stop at the first differing character
-            start = (hyp.initial, tgt.initial)
-            seen = {start: ()}
-            queue = deque([start])
-            while queue:
-                pair = queue.popleft()
-                prefix = seen[pair]
-                for a in tgt.alphabet:
-                    p1, o1 = hyp.step(pair[0], a)
-                    p2, o2 = tgt.step(pair[1], a)
-                    if o1 != o2:
-                        return prefix + (a,)
-                    if (p1, p2) not in seen:
-                        seen[(p1, p2)] = prefix + (a,)
-                        queue.append((p1, p2))
-            return None
-        return self._search_random(hyp_sym, hyp)
-
-    def _search_random(self, hyp_sym: SMealy, hyp: ConcreteMealy):
+    def _search_random(self, hyp: SMealy, edges, start):
         """Random counterexample: minimal length, then fewest new characters.
 
         Among the minimal-length disagreeing words, those using the fewest
@@ -167,11 +150,9 @@ class EquivOracle:
         refinement steps the learner is entitled to take one by one.  Words
         are counted only over the state pairs reachable at each depth.
         """
-        tgt = self._restricted
-        edges = _product_graph(hyp, tgt)
         # layers[k]: the pairs reachable in exactly k steps; a pair can recur
         # at a later depth, so a layer is every successor of the one before
-        layers = [[(hyp.initial, tgt.initial)]]
+        layers = [[start]]
         seen = set(layers[0])
         while not any(differs for pair in layers[-1] for _a, _nxt, differs in edges(pair)):
             layer = dict.fromkeys(nxt for pair in layers[-1] for _a, nxt, _differs in edges(pair))
@@ -180,8 +161,8 @@ class EquivOracle:
             seen.update(layer)
             layers.append(list(layer))
         length = len(layers)
-        known = set(essential_characters(hyp_sym)) & set(tgt.alphabet)
-        cost = {a: 0 if a in known else 1 for a in tgt.alphabet}
+        known = set(essential_characters(hyp))
+        cost = {a: 0 if a in known else 1 for a in self.essential}
 
         # counts[t][pair][j], for pair in layers[length - t]: length-t words
         # from pair whose final output disagrees and which use exactly j
@@ -201,7 +182,7 @@ class EquivOracle:
                     for j in range(length + 1 - cost[a]):
                         row[j + cost[a]] += sub[j]
 
-        pair = layers[0][0]
+        pair = start
         fresh_used = next(j for j in range(length + 1) if counts[length][pair][j])
         index = self.rng.randrange(counts[length][pair][fresh_used])
         word = []
@@ -221,16 +202,31 @@ class EquivOracle:
         return tuple(word)
 
 
-def _product_graph(hyp: ConcreteMealy, tgt: ConcreteMealy):
-    """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of
-    ``tgt``'s alphabet in order, computed on a pair's first use and then kept."""
+def _search_lexmin(edges, start):
+    """The shortlex-least differing word: pairs breadth-first, each by its least word."""
+    seen = {start: ()}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for a, nxt, differs in edges(pair):
+            if differs:
+                return seen[pair] + (a,)
+            if nxt not in seen:
+                seen[nxt] = seen[pair] + (a,)
+                queue.append(nxt)
+    return None
+
+
+def _product_graph(hyp: SMealy, target: SMealy, chars):
+    """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of ``chars`` in
+    order, stepped on both machines' compiled lookups on a pair's first use and then kept."""
     graph = {}
 
     def edges(pair):
         out = graph.get(pair)
         if out is None:
-            steps = ((a, hyp.step(pair[0], a), tgt.step(pair[1], a)) for a in tgt.alphabet)
-            out = graph[pair] = [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in steps]
+            hits = zip(chars, _steps(hyp, pair[0], chars), _steps(target, pair[1], chars))
+            out = graph[pair] = [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in hits]
         return out
     return edges
 

@@ -21,7 +21,7 @@ from smalearn.algebra import (
 )
 from smalearn.partition import _check_groups
 from smalearn.automata import ConcreteMealy, SMealy, Violation, restrict, shortlex_key
-from smalearn.bench import make_builtin
+from smalearn.bench import make_builtin, make_worked_example
 from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import essential_characters
@@ -145,6 +145,27 @@ def random_product_groups(rng, alg, max_samples=8, coord_top=12):
     if not seen:
         groups[0].add(tuple(axis.min_char() for axis in alg.components))
     return groups
+
+
+# -- incomplete machines --------------------------------------------------------
+
+# The worked example with one reached state left incomplete, per case: the state,
+# the lower endpoint of the guard dropped from it (None: all of its transitions),
+# a word the target answers and the incomplete machine cannot, and the message
+# that names the first gap.
+INCOMPLETE_WORKED_EXAMPLES = {
+    "state-2-without-10-up": (2, 10, (0, 0, 10), "no transition from state 2 on 10"),
+    "state-3-bare": (3, None, (0, 0, 0, 0), "no transition from state 3 on 0"),
+}
+
+
+def worked_example_without(state, lo=None):
+    """``make_worked_example()`` without ``state``'s transition whose guard starts at ``lo``,
+    or without all of ``state``'s transitions if ``lo`` is None."""
+    m = make_worked_example()
+    kept = [(t.source, t.guard, t.target, t.output) for t in m.transitions
+            if t.source != state or lo is not None and t.guard.ivs[0][0] != lo]
+    return SMealy(m.algebra, m.n_states, m.initial, m.outputs, kept)
 
 
 # -- hypothesis strategies for guards and machines -----------------------------
@@ -490,6 +511,33 @@ class FullTableSearch:
             if not frontier:
                 return None
         return None
+
+
+def lexmin_search(target: SMealy, essential, hyp_sym: SMealy):
+    """The lexmin equivalence search on concrete machines, for differential tests.
+
+    The walk is the oracle's as it was before both search modes stepped the
+    symbolic machines on one product graph, copied verbatim but for the two
+    ``restrict`` calls that build its machines here: both are restricted to
+    ``essential`` and paired breadth-first over the target's alphabet.  None
+    when no word over ``essential`` differs.
+    """
+    tgt, hyp = restrict(target, essential), restrict(hyp_sym, essential)
+    start = (hyp.initial, tgt.initial)
+    seen = {start: ()}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        prefix = seen[pair]
+        for a in tgt.alphabet:
+            p1, o1 = hyp.step(pair[0], a)
+            p2, o2 = tgt.step(pair[1], a)
+            if o1 != o2:
+                return prefix + (a,)
+            if (p1, p2) not in seen:
+                seen[(p1, p2)] = prefix + (a,)
+                queue.append((p1, p2))
+    return None
 
 
 # -- reference 1-D Boolean operations and essential characters ------------------

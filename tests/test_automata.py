@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from helpers import (
     GUARD_ALGEBRAS,
+    INCOMPLETE_WORKED_EXAMPLES,
     JSON_VALUES,
     domain_chars,
     endpoint_grid,
@@ -18,6 +19,7 @@ from helpers import (
     sym_machines,
     symbolic_equiv_pairwise,
     validate_pairwise,
+    worked_example_without,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -482,6 +484,39 @@ def test_symbolic_equiv_rejects_overlapping_product_guards():
     for m1, m2 in ((overlapping, whole), (whole, overlapping)):
         with pytest.raises(AutomatonError, match=r"^state 0 has overlapping guards$"):
             symbolic_equiv(m1, m2)
+
+
+@pytest.mark.parametrize("name", sorted(INCOMPLETE_WORKED_EXAMPLES))
+def test_symbolic_equiv_rejects_a_reached_incomplete_state(target, name):
+    state, lo, word, message = INCOMPLETE_WORKED_EXAMPLES[name]
+    incomplete = worked_example_without(state, lo)
+    assert [(v.state, v.kind) for v in incomplete.validate()] == [(state, "incomplete")]
+    target.run(word)
+    with pytest.raises(AutomatonError, match=f"^{message}$"):
+        incomplete.run(word)
+    for m1, m2 in ((incomplete, target), (target, incomplete)):
+        with pytest.raises(AutomatonError, match=f"^{message}$"):
+            symbolic_equiv(m1, m2)
+
+
+def test_symbolic_equiv_rejects_an_uncovered_product_cell():
+    alg = GUARD_ALGEBRAS["product-2"]
+    whole = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "S")])
+    holed = SMealy(alg, 1, 0, [], [(0, alg.box((0, None), (-5.0, 0.0)), 0, "S"),
+                                   (0, alg.box((3, None), (0.0, None)), 0, "S")])
+    assert [v.kind for v in holed.validate()] == ["incomplete"]
+    for m1, m2 in ((holed, whole), (whole, holed)):
+        with pytest.raises(AutomatonError, match=r"^no transition from state 0 on \(0,0\)$"):
+            symbolic_equiv(m1, m2)
+
+
+def test_symbolic_equiv_ignores_unreached_incomplete_states(target):
+    trs = [(t.source, t.guard, t.target, t.output) for t in target.transitions]
+    # state 4 covers only [0, 10) and state 5 has no transitions; neither is reachable
+    extra = SMealy(NAT, 6, 0, target.outputs, trs + [(4, NAT.interval(0, 10), 5, "S")])
+    assert [(v.state, v.kind) for v in extra.validate()] == [(4, "incomplete"), (5, "incomplete")]
+    assert symbolic_equiv(extra, target) is None
+    assert symbolic_equiv(target, extra) is None
 
 
 @pytest.mark.parametrize("kind", ORDERED_GUARDS)

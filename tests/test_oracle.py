@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from helpers import (
     GUARD_ALGEBRAS,
+    INCOMPLETE_WORKED_EXAMPLES,
     FullTableSearch,
     domain_chars,
     essential_characters_two_branch,
+    lexmin_search,
     mutants,
     sym_machines,
+    worked_example_without,
 )
 from smalearn import oracle
 from smalearn.algebra import Algebra, AlgebraError
-from smalearn.automata import SMealy, symbolic_equiv
+from smalearn.automata import AutomatonError, SMealy, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
     make_atgs,
@@ -424,6 +427,49 @@ def test_random_search_matches_full_table_reference(case, seed):
         else:
             assert oracle.query(hyp) == want
         assert oracle.rng.getstate() == ref.rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_teacher_cases())
+def test_lexmin_search_matches_concrete_reference(case):
+    target, hyps = case
+    try:
+        oracle = EquivOracle(target, mode="lexmin")
+    except OracleAssumptionViolation:  # a generated product target the grid does not cover
+        assume(False)
+    for hyp in hyps:
+        if symbolic_equiv(hyp, target) is None:
+            assert oracle.query(hyp) is None
+        elif (want := lexmin_search(target, oracle.essential, hyp)) is None:
+            with pytest.raises(OracleAssumptionViolation):
+                oracle.query(hyp)
+        else:
+            assert oracle.query(hyp) == want
+
+
+@pytest.mark.parametrize("name", sorted(INCOMPLETE_WORKED_EXAMPLES))
+def test_teachers_reject_a_hypothesis_with_a_reached_incomplete_state(name):
+    state, lo, _word, message = INCOMPLETE_WORKED_EXAMPLES[name]
+    hyp, target = worked_example_without(state, lo), make_worked_example()
+    for mode in ("lexmin", "random"):
+        with pytest.raises(AutomatonError, match=f"^{message}$"):
+            Oracle(target, mode, seed=1).equivalence_query(hyp)
+    with pytest.raises(AutomatonError, match=f"^{message}$"):
+        ScriptedOracle(target, []).equivalence_query(hyp)
+
+
+@pytest.mark.parametrize("mode", ["lexmin", "random"])
+@pytest.mark.parametrize("state_1", [(), [(NAT.interval(3, None), 0, "x")]], ids=["bare", "from-3"])
+def test_search_reaching_an_incomplete_state_raises_automaton_error(mode, state_1):
+    # symbolic_equiv answers (5,) from (0, 0) before it expands (1, 0); the search over
+    # the essential character 0 reaches (1, 0) first, where hypothesis state 1 has no move
+    hyp = SMealy(NAT, 2, 0, [], [(0, NAT.interval(0, 5), 1, "x"),
+                                 (0, NAT.interval(5, None), 0, "y"),
+                                 *((1, *tr) for tr in state_1)])
+    target = one_state((NAT.top(), "x"))
+    assert symbolic_equiv(hyp, target) == (5,)
+    with pytest.raises(AutomatonError, match=r"^no transition from state 1 on 0$"):
+        Oracle(target, mode, seed=1).equivalence_query(hyp)
 
 
 def test_composite_oracle_rejects_invalid_target():
