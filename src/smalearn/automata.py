@@ -185,6 +185,8 @@ class SMealy:
             raise AutomatonError(f"initial state {initial} out of range")
         if not isinstance(outputs, list) or not isinstance(raw, list):
             raise AutomatonError("outputs and transitions must be lists")
+        for j, output in enumerate(outputs):
+            _string(output, f"outputs entry {j}")
 
         def renum(q):  # the initial state is always state 0 in memory
             if q == initial:
@@ -202,6 +204,7 @@ class SMealy:
                 raise
             except (KeyError, TypeError, ValueError, IndexError) as exc:
                 raise AutomatonError(f"malformed transition {i}: {exc!r}") from exc
+            _string(output, f"transition {i} 'out'")
             source = _state_number(source, f"transition {i} 'from'")
             target = _state_number(target, f"transition {i} 'to'")
             if not 0 <= source < n or not 0 <= target < n:
@@ -226,6 +229,7 @@ class SMealy:
             lines.append(f'  q{q} [shape=circle label="q{q}"];')
         for t in self.transitions:
             label = f"{format_predicate(t.guard)} | {t.output}"
+            label = label.replace("\\", "\\\\").replace('"', '\\"')  # as a DOT string
             lines.append(f'  q{t.source} -> q{t.target} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
@@ -236,6 +240,12 @@ def _state_number(v, what):
     if isinstance(v, bool) or not isinstance(v, int):
         raise AutomatonError(f"{what} must be an integer, got {v!r}")
     return v
+
+
+def _string(v, what):
+    """An output from a file: a JSON string, never another value's text."""
+    if not isinstance(v, str):
+        raise AutomatonError(f"{what} must be a string, got {v!r}")
 
 
 def _no_transition(q, a):
@@ -347,23 +357,43 @@ def _grows_inside(old_groups, old_preds, groups) -> bool:
         for key, g in groups.items())
 
 
+def first_difference(edges, start):
+    """The word by which a breadth-first walk of state pairs from ``start`` first meets an edge
+    whose outputs differ, or None.  ``edges(pair)`` lists ``(character, successor pair,
+    outputs differ)``; pairs are expanded in FIFO order, each under the word that first
+    reached it, so with each pair's edges in character order the word is shortlex-least."""
+    seen = {start: ()}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        prefix = seen[pair]
+        for a, nxt, differs in edges(pair):
+            if differs:
+                return prefix + (a,)
+            if nxt not in seen:
+                seen[nxt] = prefix + (a,)
+                queue.append(nxt)
+    return None
+
+
 def symbolic_equiv(m1: SMealy, m2: SMealy):
     """None if the machines agree on every non-empty word, else a witness word.
 
     Both machines must be deterministic and complete on reached states, or
-    ``AutomatonError`` is raised.  Breadth-first product exploration:
-    state pairs are expanded in FIFO order, transition pairs in canonical
-    stored order, and each frontier character is the minimum of the meet of
-    the two guards, so the witness is deterministic.  Guards are not met:
-    merging the two states' compiled tables (see ``first_match``) gives each
-    meeting pair with that minimum."""
+    ``AutomatonError`` is raised.  The product is walked by ``first_difference``:
+    state pairs in FIFO order, transition pairs in canonical stored order, and
+    each frontier character is the minimum of the meet of the two guards, so
+    the witness is deterministic.  Guards are not met: merging the two states'
+    compiled tables (see ``first_match``) gives each meeting pair with that
+    minimum."""
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
     char = (lambda corner: corner) if alg.kind == "product" else (lambda corner: corner[0])
 
-    def meeting(q1, q2):
-        """``((target1, output1), (target2, output2), minimum)`` per meeting transition pair."""
+    def edges(pair):
+        """``(minimum, successor pair, outputs differ)`` per meeting transition pair."""
+        q1, q2 = pair
         for m, q in ((m1, q1), (m2, q2)):
             if m._overlaps.get(q):
                 raise AutomatonError(f"state {q} has overlapping guards")
@@ -377,24 +407,11 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
         # a leaf value names one transition: equal (target, output) ones are merged
         rank1, rank2 = ({(t.target, t.output): i for i, t in enumerate(m.state_transitions(q))}
                         for m, q in ((m1, q1), (m2, q2)))
-        for (v1, v2), corner in sorted(first.items(),
-                                       key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):
-            yield v1, v2, char(corner)
+        for ((s1, o1), (s2, o2)), corner in sorted(
+                first.items(), key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):
+            yield char(corner), (s1, s2), o1 != o2
 
-    start = (m1.initial, m2.initial)
-    seen = {start: ()}
-    queue = deque([start])
-    while queue:
-        q1, q2 = queue.popleft()
-        prefix = seen[(q1, q2)]
-        for (s1, o1), (s2, o2), a in meeting(q1, q2):
-            if o1 != o2:
-                return prefix + (a,)
-            nxt = (s1, s2)
-            if nxt not in seen:
-                seen[nxt] = prefix + (a,)
-                queue.append(nxt)
-    return None
+    return first_difference(edges, (m1.initial, m2.initial))
 
 
 def _meeting_cells(node1, node2, depth, corner, first):

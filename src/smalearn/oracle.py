@@ -9,17 +9,20 @@ partition, which is verified at construction; it is that property that lets
 a learner terminate without ever seeing other characters.  Both search
 modes of one query read one product graph of hypothesis and target over
 those characters, stepped on the two machines' compiled tables for the
-pairs it reaches.
+pairs it reaches.  The lexmin mode walks it with ``first_difference``, the
+breadth-first walk ``symbolic_equiv`` runs too; only the random mode, which
+reads a pair's edges more than once, keeps them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from functools import cache
 from operator import attrgetter
 
-from .automata import SMealy, _no_transition, _steps, state_partitions, symbolic_equiv
+from .automata import (SMealy, _no_transition, _steps, first_difference, state_partitions,
+                       symbolic_equiv)
 from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .partition import partitioner_for
 
@@ -132,7 +135,7 @@ class EquivOracle:
             return None
         edges = _product_graph(hyp, self.target, self.essential)
         start = (hyp.initial, self.target.initial)
-        cex = (_search_lexmin(edges, start) if self.mode == "lexmin"
+        cex = (first_difference(edges, start) if self.mode == "lexmin"
                else self._search_random(hyp, edges, start))
         if cex is None:
             raise OracleAssumptionViolation(
@@ -150,6 +153,7 @@ class EquivOracle:
         refinement steps the learner is entitled to take one by one.  Words
         are counted only over the state pairs reachable at each depth.
         """
+        edges = cache(edges)  # layers, counts and the draw read a pair's edges
         # layers[k]: the pairs reachable in exactly k steps; a pair can recur
         # at a later depth, so a layer is every successor of the one before
         layers = [[start]]
@@ -202,32 +206,12 @@ class EquivOracle:
         return tuple(word)
 
 
-def _search_lexmin(edges, start):
-    """The shortlex-least differing word: pairs breadth-first, each by its least word."""
-    seen = {start: ()}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        for a, nxt, differs in edges(pair):
-            if differs:
-                return seen[pair] + (a,)
-            if nxt not in seen:
-                seen[nxt] = seen[pair] + (a,)
-                queue.append(nxt)
-    return None
-
-
 def _product_graph(hyp: SMealy, target: SMealy, chars):
     """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of ``chars`` in
-    order, stepped on both machines' compiled lookups on a pair's first use and then kept."""
-    graph = {}
-
+    order, stepped on both machines' compiled lookups on every call; nothing is kept."""
     def edges(pair):
-        out = graph.get(pair)
-        if out is None:
-            hits = zip(chars, _steps(hyp, pair[0], chars), _steps(target, pair[1], chars))
-            out = graph[pair] = [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in hits]
-        return out
+        hits = zip(chars, _steps(hyp, pair[0], chars), _steps(target, pair[1], chars))
+        return [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in hits]
     return edges
 
 

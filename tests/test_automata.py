@@ -220,6 +220,14 @@ def test_dot_export(target):
     assert "| S" in dot
 
 
+def test_dot_labels_escape_quotes_and_backslashes():
+    dot = one_state((NAT.interval(0, 5), 'a"b'), (NAT.interval(5, None), "x\\")).to_dot()
+    assert '[label="[0,5) | a\\"b"];' in dot
+    assert '[label="[5,inf) | x\\\\"];' in dot
+    for line in dot.splitlines():  # with escape pairs dropped, every string is closed
+        assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
+
+
 def test_bottom_guard_rejected():
     with pytest.raises(AutomatonError):
         one_state((NAT.bottom(), "x"))
@@ -271,6 +279,19 @@ def test_json_guard_of_bare_numbers():
     data = two_state_data()
     data["transitions"][0]["guard"] = [[1]]
     assert_one_line_error(data, r"malformed transition 0")
+
+
+@pytest.mark.parametrize("out,outputs,message", [
+    (None, ["a", "b"], r"^transition 1 'out' must be a string, got None$"),
+    ([1, {"x": 2}], ["a", "b"], r"^transition 1 'out' must be a string, got \[1, \{'x': 2\}\]$"),
+    (5, ["a", "b"], r"^transition 1 'out' must be a string, got 5$"),
+    ("b", [None, 3.5], r"^outputs entry 0 must be a string, got None$"),
+    ("b", ["a", 3.5], r"^outputs entry 1 must be a string, got 3.5$"),
+], ids=["out-null", "out-list", "out-number", "outputs-null", "outputs-number"])
+def test_json_outputs_must_be_strings(out, outputs, message):
+    data = two_state_data(outputs=outputs)
+    data["transitions"][1]["out"] = out
+    assert_one_line_error(data, message)
 
 
 @pytest.mark.parametrize("key", ["outputs", "transitions"])

@@ -227,6 +227,9 @@ BAD_FILES = {
         "transitions": [{"from": 0, "guard": [[[0, 5], [7, 9]], [[5, None]]], "to": 0,
                          "out": "a"}]}).encode(),
     "nested-too-deep": b"[" * 100000 + b"]" * 100000,
+    "out-null": json.dumps({  # read as the output "None", it would equal a machine saying so
+        "algebra": {"kind": "interval-nat"}, "states": 1, "initial": 0, "outputs": ["a"],
+        "transitions": [{"from": 0, "guard": [[[0, None]]], "to": 0, "out": None}]}).encode(),
 }
 
 

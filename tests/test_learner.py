@@ -327,6 +327,48 @@ def test_corrupted_cells_fail_both_hypothesis_checks_alike(monkeypatch, target, 
     assert len(rounds) == stats.eq_queries
 
 
+def off_the_evidence(evidence: ConcreteMealy, how: str, rng: random.Random) -> ConcreteMealy:
+    """``evidence`` with one successor or one output changed, a copy of state 0 added, or
+    state 1 made initial."""
+    n, initial, delta = evidence.n_states, evidence.initial, dict(evidence.delta)
+    q, a = rng.choice(list(delta))
+    succ, out = delta[(q, a)]
+    if how == "successor":
+        delta[(q, a)] = ((succ + 1) % n, out)
+    elif how == "output":
+        delta[(q, a)] = (succ, out + "!")
+    elif how == "extra-state":
+        delta.update({(n, b): delta[(0, b)] for b in evidence.alphabet})
+        n += 1
+    else:
+        initial = 1
+    return ConcreteMealy(evidence.alphabet, n, initial, evidence.outputs, delta)
+
+
+@pytest.mark.parametrize("how", ["successor", "output", "extra-state", "initial"])
+@pytest.mark.parametrize("target", [make_worked_example(), make_mh()], ids=["worked-example", "mh"])
+def test_hypotheses_off_the_evidence_fail_both_hypothesis_checks_alike(monkeypatch, target, how):
+    """In every round with two states or more, a hypothesis built from evidence changed in
+    one way makes the check and the per-word reference raise the same message."""
+    rng = random.Random(13)
+    check, rounds = learner._check_hypothesis, []
+
+    def checked(table, evidence, hyp):
+        if evidence.n_states > 1:
+            wrong = sep_pred(off_the_evidence(evidence, how, rng), table.algebra)
+            for checker in (check_hypothesis_per_word, check):
+                with pytest.raises(LearningError, match=r"^hypothesis restricted to sigma_e "
+                                                        r"differs from the evidence$"):
+                    checker(table, evidence, wrong)
+            rounds.append(hyp)
+        check(table, evidence, hyp)
+
+    monkeypatch.setattr(learner, "_check_hypothesis", checked)
+    learned, _ = learn(Oracle(target), target.algebra)
+    assert symbolic_equiv(learned, target) is None
+    assert rounds
+
+
 @contextmanager
 def fresh_partition_every_round():
     """Make ``learn`` also partition from scratch in every round and compare.
