@@ -78,10 +78,14 @@ class SMealy:
                 raise AutomatonError(f"transition state out of range: {source}->{target}")
             if guard.is_false():
                 raise AutomatonError(f"bottom guard on transition {source}->{target}")
-            merged.setdefault((source, target, str(output)), []).append(guard)
+            if not isinstance(output, str):
+                raise AutomatonError(f"output of transition {source}->{target} must be a string, "
+                                     f"got {output!r}")
+            merged.setdefault((source, target, output), []).append(guard)
 
         # declared outputs first, then the others in transition order
-        self.outputs = tuple(dict.fromkeys([*map(str, outputs), *(o for _, _, o in merged)]))
+        outputs = [_string(o, f"outputs entry {j}") for j, o in enumerate(outputs)]
+        self.outputs = tuple(dict.fromkeys([*outputs, *(o for _, _, o in merged)]))
 
         trans = [Transition(s, gs[0] if len(gs) == 1 else algebra.union(*gs), t, o)
                  for (s, t, o), gs in merged.items()]
@@ -243,9 +247,10 @@ def _state_number(v, what):
 
 
 def _string(v, what):
-    """An output from a file: a JSON string, never another value's text."""
+    """``v`` if it is a string; an output is never another value's text."""
     if not isinstance(v, str):
         raise AutomatonError(f"{what} must be a string, got {v!r}")
+    return v
 
 
 def _no_transition(q, a):

@@ -11,16 +11,17 @@ output-closedness.  Consistency is checked before closedness so that a
 counterexample whose prefixes expose both defects grows the suffix set
 before rows move; this matches the reference learning traces.
 
+Each answer is stored once, in its word's row: a tuple of cells in column
+order.  A new column splices its cell into every row at its index; the
+``(word, column) -> output`` view ``cells`` is built from the rows.
+
 The table keeps the indexes its defect search reads, and updates them as it
 changes instead of rebuilding them on every :func:`check`:
 
-* the word set ``S ∪ R``, and ``S ∪ R`` and ``R`` as lists in shortlex
-  order, extended when rows are added (``make_closed`` moves a word from
-  the ``R`` list to ``S``);
-* the columns, in table order and in shortlex order, rebuilt when a column
-  is added;
-* each word's row, cached and extended by the new cell when a column is
-  added;
+* ``S ∪ R`` and ``R`` as lists in shortlex order, extended when rows are
+  added (``make_closed`` moves a word from the ``R`` list to ``S``);
+* the columns, in table order, in shortlex order and as a column -> index
+  dict, rebuilt when a column is added;
 * the set of ``S`` rows, extended by ``make_closed``;
 * the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
   ``(row(p), a)``, each group in shortlex order with its cached
@@ -51,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from types import MappingProxyType
 
 from .algebra import Algebra
 from .automata import shortlex_key
@@ -84,14 +86,13 @@ class ObservationTable:
         self.R = [(a0,)]
         self.sigma_e = [a0]
         self.E = []
-        self.cells = {}
         self.gamma = []  # output symbols in first-seen order
-        self._words = {(), (a0,)}  # S ∪ R
+        self._rows = {}  # S ∪ R -> its cells in column order
         self._sorted_words = [(), (a0,)]  # S ∪ R in shortlex order
         self._sorted_R = [(a0,)]
         self._columns = [(a0,)]
         self._sorted_columns = [(a0,)]
-        self._row_cache = {}
+        self._index = {(a0,): 0}  # column -> its index in a row
         self._s_rows = None  # rows of S; None until the next check after a column
         self._unclosed = None  # heap of (shortlex key, r), rebuilt with _s_rows
         self._gaps = []  # heap of (shortlex key of s·a, s, a); ε·a0 is in R from the start
@@ -114,35 +115,38 @@ class ObservationTable:
     # full rescan of words x columns would ask for them.
 
     def _ask(self, w, col):
-        out = str(self.ask(w + col))
-        self.cells[(w, col)] = out
+        out = self.ask(w + col)
+        if not isinstance(out, str):
+            raise TypeError(f"output query {w + col} answered {out!r}, not a string")
         if out not in self.gamma:
             self.gamma.append(out)
+        return out
 
     def _fill_rows(self, new_words):
-        for w in new_words:
-            for col in self._columns:
-                self._ask(w, col)
+        for w in new_words:  # from a list: tuple() of a generator resizes, fragmenting the heap
+            self._rows[w] = tuple([self._ask(w, col) for col in self._columns])
 
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
         self._sorted_columns = sorted(self._columns, key=shortlex_key)
+        self._index = {c: i for i, c in enumerate(self._columns)}
         self._s_rows = self._unclosed = self._groups = None
+        i = self._index[col]  # a new sigma_e column goes in before E
         for w in self.words():
-            self._ask(w, col)
-        i = self._columns.index(col)  # a new sigma_e column goes in before E
-        for w, key in self._row_cache.items():
-            self._row_cache[w] = key[:i] + (self.cells[(w, col)],) + key[i:]
+            row = self._rows[w]
+            self._rows[w] = row[:i] + (self._ask(w, col),) + row[i:]
 
     def cell(self, word, col):
-        return self.cells[(word, col)]
+        return self._rows[word][self._index[col]]
 
     def row(self, word):
-        key = self._row_cache.get(word)
-        if key is None:
-            key = tuple(self.cells[(word, col)] for col in self._columns)
-            self._row_cache[word] = key
-        return key
+        return self._rows[word]
+
+    @property
+    def cells(self):
+        """Read-only ``(word, column) -> output`` view, built from every row on
+        each access: read it once, not once per cell."""
+        return MappingProxyType(self.snapshot()["cells"])
 
     # -- defect detection ----------------------------------------------------
 
@@ -180,10 +184,10 @@ class ObservationTable:
         base = members[0]
         base_row = self.row(base + (a,))
         for w2 in members[1:]:
-            if self.row(w2 + (a,)) == base_row:
+            if (row2 := self.row(w2 + (a,))) == base_row:
                 continue
             e = next(col for col in self._sorted_columns
-                     if self.cells[(base + (a,), col)] != self.cells[(w2 + (a,), col)])
+                     if base_row[self._index[col]] != row2[self._index[col]])
             key = (shortlex_key(base), shortlex_key(w2), shortlex_key((a,)), shortlex_key(e))
             return key, (base, w2, a, e)
         return None
@@ -201,7 +205,7 @@ class ObservationTable:
         return Defect("not_closed", (heap[0][1],)) if heap else None
 
     def _find_evidence_gap(self):
-        heap, words = self._gaps, self._words
+        heap, words = self._gaps, self._rows
         while heap and heap[0][1] + (heap[0][2],) in words:
             heappop(heap)
         return Defect("not_evidence_closed", heap[0][1:]) if heap else None
@@ -268,11 +272,10 @@ class ObservationTable:
 
     def _add_rows(self, word):
         """Add the missing prefixes of ``word`` to R, shortest first, fill and index them."""
-        new = [p for p in prefixes(word) if p not in self._words]
+        new = [p for p in prefixes(word) if p not in self._rows]
         self.R.extend(new)
         self._fill_rows(new)
         for w in new:
-            self._words.add(w)
             insort(self._sorted_words, w, key=shortlex_key)
             insort(self._sorted_R, w, key=shortlex_key)
             if self._s_rows is not None and self.row(w) not in self._s_rows:
@@ -303,9 +306,8 @@ class ObservationTable:
                 if e[i:] not in cols:
                     out.append(f"suffix {e[i:]} of column {e} missing")
         for w in words:
-            for col in self.columns():
-                if (w, col) not in self.cells:
-                    out.append(f"cell ({w}, {col}) unfilled")
+            if len(self._rows.get(w, ())) != len(self._columns):
+                out.append(f"row {w} unfilled")
         return out
 
     def snapshot(self) -> dict:
@@ -314,29 +316,6 @@ class ObservationTable:
             "R": tuple(self.R),
             "sigma_e": tuple(self.sigma_e),
             "E": tuple(self.E),
-            "cells": {(w, col): self.cells[(w, col)]
-                      for w in self.words() for col in self.columns()},
+            "cells": {(w, col): out for w in self.words()
+                      for col, out in zip(self._columns, self._rows[w])},
         }
-
-    def dump(self) -> str:
-        from .algebra import format_char
-
-        def word_str(w):
-            return "ε" if not w else "·".join(format_char(a) for a in w)
-
-        cols = self.columns()
-        header = [""] + [word_str(c) for c in cols]
-        lines = [header]
-        for w in self.S:
-            lines.append([word_str(w)] + [self.cells[(w, c)] for c in cols])
-        lines.append(None)  # separator
-        for r in self.R:
-            lines.append([word_str(r)] + [self.cells[(r, c)] for c in cols])
-        widths = [max(len(line[i]) for line in lines if line) for i in range(len(header))]
-        rendered = []
-        for line in lines:
-            if line is None:
-                rendered.append("-" * (sum(widths) + 3 * len(widths)))
-            else:
-                rendered.append(" | ".join(v.ljust(w) for v, w in zip(line, widths)))
-        return "\n".join(rendered)

@@ -294,6 +294,17 @@ def test_json_outputs_must_be_strings(out, outputs, message):
     assert_one_line_error(data, message)
 
 
+@pytest.mark.parametrize("outputs,out,message", [
+    ([], None, r"^output of transition 0->0 must be a string, got None$"),
+    ([], 1, r"^output of transition 0->0 must be a string, got 1$"),
+    (["a", None], "a", r"^outputs entry 1 must be a string, got None$"),
+], ids=["out-none", "out-int", "declared-none"])
+def test_machine_outputs_must_be_strings(outputs, out, message):
+    """Outputs are never another value's text: ``None`` is not the output ``"None"``."""
+    with pytest.raises(AutomatonError, match=message):
+        SMealy(NAT, 1, 0, outputs, [(0, NAT.top(), 0, out)])
+
+
 @pytest.mark.parametrize("key", ["outputs", "transitions"])
 def test_json_non_list_fields(key):
     assert_one_line_error(two_state_data(**{key: 5}), r"^outputs and transitions must be lists$")

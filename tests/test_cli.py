@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from smalearn.automata import SMealy
 from smalearn.bench import make_worked_example
 from smalearn.cli import STATS_COLUMNS, main
+from smalearn.learner import learn
+from smalearn.oracle import Oracle
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +150,16 @@ def test_learn_trace_goes_to_stderr(capsys):
     assert code == 0
     assert "counterexample" in err
     assert "counterexample" not in stdout
+    # each repair line gives the kind and table sizes of the same learn's repair event, in order
+    target, trace = make_worked_example(), []
+    learn(Oracle(target, mode="lexmin"), target.algebra, trace=trace)
+    repairs = [(e["kind"], *(str(len(e["table"][k])) for k in ("S", "R", "sigma_e", "E")))
+               for e in trace if e["event"] == "repair"]
+    shown = re.findall(
+        r"^smalearn: repair (\w+) \|S\|=(\d+) \|R\|=(\d+) \|sigmaE\|=(\d+) \|E\|=(\d+)$",
+        err, re.MULTILINE)
+    assert repairs and shown == repairs
+    assert len(shown) == err.count("smalearn: repair ")
 
 
 def test_learn_with_init_override(capsys):

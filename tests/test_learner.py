@@ -204,11 +204,14 @@ def test_learn_without_trace_takes_no_snapshot(monkeypatch):
 
 def assert_table_consistent(table):
     assert table.columns() == [(a,) for a in table.sigma_e] + table.E
-    for w in table.words():
-        assert table.row(w) == tuple(table.cells[(w, col)] for col in table.columns())
-    assert table.structural_violations() == []
+    assert table._index == {col: i for i, col in enumerate(table.columns())}
     words = set(table.S) | set(table.R)
-    assert table._words == words
+    assert set(table._rows) == words
+    assert all(len(row) == len(table.columns()) for row in table._rows.values())
+    cells = table.cells  # built from the rows on every read
+    assert cells == {(w, col): out for w, row in table._rows.items()
+                     for col, out in zip(table.columns(), row)}
+    assert table.structural_violations() == []
     assert table._sorted_words == sorted(words, key=shortlex_key)
     assert table._sorted_R == sorted(table.R, key=shortlex_key)
     assert table._sorted_columns == sorted(table.columns(), key=shortlex_key)
@@ -277,17 +280,16 @@ def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
 
 @contextmanager
 def corrupted(table, cells):
-    """Flip ``cells`` to an output no cell has, then restore them."""
-    saved = {c: table.cells[c] for c in cells}
+    """Flip ``cells`` to an output no cell has, then restore their rows."""
+    saved = {w: table._rows[w] for w, _ in cells}
     for w, col in cells:
-        table.cells[(w, col)] += "!"
-        table._row_cache.pop(w, None)
+        i = table.columns().index(col)
+        row = table._rows[w]
+        table._rows[w] = row[:i] + (row[i] + "!",) + row[i + 1:]
     try:
         yield
     finally:
-        table.cells.update(saved)
-        for w, _ in cells:
-            table._row_cache.pop(w, None)
+        table._rows.update(saved)
 
 
 @pytest.mark.parametrize("target,mode,seed", [

@@ -157,12 +157,24 @@ def test_cells_match_target_outputs():
             assert t.cell(w, col) == target.run(w + col)
 
 
-def test_dump_layout():
+def test_cells_is_a_read_only_view_of_the_rows():
     t = make_table(0)
-    t.add_counterexample((20,))
-    t.repair(t.check())
-    text = t.dump()
-    lines = text.splitlines()
-    assert "20" in lines[0]  # column header
-    assert lines[1].startswith("ε")
-    assert any(set(line) == {"-"} for line in lines)  # separator between S and R
+    for cex in [(20,), (0, 0, 0)]:
+        t.add_counterexample(cex)
+        while (d := t.check()).kind != "cohesive":
+            t.repair(d)
+    cells = t.cells
+    with pytest.raises(TypeError):
+        cells[((), (0,))] = "X"
+    with pytest.raises(AttributeError):
+        t.cells = {}
+    assert len(cells) == len(t.words()) * len(t.columns())
+    assert cells == t.snapshot()["cells"]
+    assert all(cells[(w, col)] == t.cell(w, col) for w in t.words() for col in t.columns())
+
+
+@pytest.mark.parametrize("answer", [1, None, b"S", ("S",)], ids=repr)
+def test_output_query_answers_must_be_strings(answer):
+    """An answer is never stored as its text: ``1`` is not the output ``"1"``."""
+    with pytest.raises(TypeError, match=r"^output query \(0,\) answered .*, not a string$"):
+        ObservationTable(NAT, lambda w: answer, 0)
