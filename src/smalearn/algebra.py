@@ -228,30 +228,34 @@ class Algebra:
         return member(phi, self.norm_char(a))
 
     def first_match(self, guards, values):
-        """Compile ``guards`` into ``(find, table, overlaps)``.
+        """Compile ``guards`` into ``(table, overlaps)``.
 
-        ``find(a)`` returns ``values[i]`` for the first ``i`` whose guard holds
+        ``lookup(table)(a)`` returns ``values[i]`` for the first ``i`` whose guard holds
         the normalized character ``a``, or None, so overlapping or incomplete
         guard lists keep first-match semantics; ``overlaps`` lists every pair
         ``(i, j)``, ``i < j``, of guards that meet, ascending.  The guards
-        become a ``table`` of cut lists (``_first_match_node``) searched with
-        ``bisect_right``.
+        become a ``table`` of cut lists (``_first_match_node``).
         """
         for phi in guards:
             self._check(phi)
         overlaps = set()
         rows = [box + (i,) for i, phi in enumerate(guards) for box in self._boxes(phi)]
-        table = cuts, vals = _first_match_node(self._axes, rows, values, overlaps)
+        table = _first_match_node(self._axes, rows, values, overlaps)
+        return table, tuple(sorted(overlaps)) if overlaps else ()
+
+    def lookup(self, table):
+        """The value of compiled ``table`` at a normalized character, by ``bisect_right``."""
+        cuts, vals = table
         if self.kind != "product":
-            find = lambda a: vals[bisect_right(cuts, a) - 1]
-        else:
-            def find(a):
-                node = table
-                for x in a:
-                    cuts, vals = node
-                    node = vals[bisect_right(cuts, x) - 1]
-                return node
-        return find, table, tuple(sorted(overlaps)) if overlaps else ()
+            return lambda a: vals[bisect_right(cuts, a) - 1]
+
+        def find(a):
+            node = table
+            for x in a:
+                cuts, vals = node
+                node = vals[bisect_right(cuts, x) - 1]
+            return node
+        return find
 
     def meet(self, phi: Predicate, psi: Predicate) -> Predicate:
         self._check(phi)
@@ -416,6 +420,19 @@ def _first_match_node(axes, rows, values, overlaps):
         if not out_vals or out_vals[-1] != node:
             out_cuts.append(c)
             out_vals.append(node)
+    return tuple(out_cuts), tuple(out_vals)
+
+
+def merged_table(node, values, depth):
+    """Label map ``node`` over ``depth`` axes, leaf label ``i`` replaced by ``values[i]`` and
+    merged as ``_first_match_node`` merges: the ``first_match`` table of the labels'
+    predicates, if every cell is labelled."""
+    out_cuts, out_vals = [], []
+    for c, entry in zip(*node):
+        entry = values[entry] if depth == 1 else merged_table(entry, values, depth - 1)
+        if not out_vals or out_vals[-1] != entry:
+            out_cuts.append(c)
+            out_vals.append(entry)
     return tuple(out_cuts), tuple(out_vals)
 
 

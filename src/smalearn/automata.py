@@ -68,9 +68,6 @@ class SMealy:
             raise AutomatonError(f"cannot hold {n_states} states")
         if not 0 <= initial < n_states:
             raise AutomatonError(f"initial state {initial} out of range")
-        self.algebra = algebra
-        self.n_states = n_states
-        self.initial = initial
 
         merged = {}  # (source, target, output) -> its guards, keys in first-seen order
         for source, guard, target, output in transitions:
@@ -85,21 +82,31 @@ class SMealy:
 
         # declared outputs first, then the others in transition order
         outputs = [_string(o, f"outputs entry {j}") for j, o in enumerate(outputs)]
-        self.outputs = tuple(dict.fromkeys([*outputs, *(o for _, _, o in merged)]))
+        outputs = tuple(dict.fromkeys([*outputs, *(o for _, _, o in merged)]))
 
         trans = [Transition(s, gs[0] if len(gs) == 1 else algebra.union(*gs), t, o)
                  for (s, t, o), gs in merged.items()]
         trans.sort(key=lambda tr: (tr.source, _char_key(algebra.witness(tr.guard))))
-        self.transitions = tuple(trans)
-        # per state with transitions: its transitions, lookup, table and overlapping pairs
-        self._by_state, self._find, self._tables, self._overlaps = {}, {}, {}, {}
-        for tr in self.transitions:
-            self._by_state.setdefault(tr.source, []).append(tr)
-        for q, trs in self._by_state.items():
-            self._by_state[q] = trs = tuple(trs)
-            self._find[q], self._tables[q], self._overlaps[q] = algebra.first_match(
-                [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs])
+        states = {}
+        for tr in trans:
+            states.setdefault(tr.source, []).append(tr)
+        for q, trs in states.items():
+            states[q] = (tuple(trs), *algebra.first_match(
+                [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs]))
+        self._install(algebra, n_states, initial, outputs, states)
+
+    def _install(self, algebra, n_states, initial, outputs, states):
+        """Set and return the machine; ``states`` maps each state with transitions, ascending,
+        to its transitions by witness and their ``Algebra.first_match`` table and overlaps."""
+        self.algebra, self.n_states, self.initial = algebra, n_states, initial
+        self.outputs = outputs
+        self.transitions = tuple([tr for trs, _, _ in states.values() for tr in trs])
+        # per state with transitions: its transitions, table, overlapping pairs and lookup
+        self._by_state, self._tables, self._overlaps = (
+            {q: state[k] for q, state in states.items()} for k in range(3))
+        self._find = {q: algebra.lookup(table) for q, table in self._tables.items()}
         self._oracle_setup = None  # the essential characters, once EquivOracle checks them
+        return self
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -332,8 +339,9 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
     no predicate is bottom.
 
     ``memo`` maps a state to its groups and predicates, both keyed by
-    (successor, output), from an earlier call on a machine whose states and
-    outputs mean the same.  A state keeps its predicates while its groups keep
+    (successor, output), then what the caller appends (``sep_pred``: the
+    compiled state), from an earlier call on a machine whose states and
+    outputs mean the same.  A state keeps its entry while its groups keep
     their keys, every earlier sample stays in its group and every new one lies
     inside its group's predicate, which a stable ``partition`` would reproduce;
     otherwise it is partitioned again.
@@ -345,13 +353,12 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
         for a in chars:
             groups[machine.step(q, a)].add(a)
         old = memo.get(q)
-        if old is not None and _grows_inside(*old, groups):
-            preds = old[1]
+        if old is not None and _grows_inside(old[0], old[1], groups):
+            memo[q] = (groups, *old[1:])
         else:
             keys = sorted(groups, key=lambda key: (key[0], rank[key[1]]))
-            preds = dict(zip(keys, partition(algebra, [groups[key] for key in keys])))
-        memo[q] = (groups, preds)
-        yield q, preds.items()
+            memo[q] = groups, dict(zip(keys, partition(algebra, [groups[key] for key in keys])))
+        yield q, memo[q][1].items()
 
 
 def _grows_inside(old_groups, old_preds, groups) -> bool:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import Algebra
-from .automata import ConcreteMealy, SMealy, _steps, state_partitions
+from .algebra import Algebra, merged_table, read_labels
+from .automata import ConcreteMealy, SMealy, Transition, _steps, state_partitions
 from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .obstable import ObservationTable
-from .partition import partitioner_for
+from .partition import label_map_for
 
 
 class LearningError(RuntimeError):
@@ -59,15 +59,30 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
 
     For each state the alphabet is grouped by (successor, output), and the
     groups that hold samples are partitioned into one transition each (see
-    ``state_partitions``, which also explains ``memo``).
+    ``state_partitions``, which also explains ``memo``).  Evidence groups are
+    disjoint and normalized, so they go to the label-map builder unchecked, and
+    a state partitioned again is compiled off its map (``merged_table``), its
+    transitions in ``read_labels`` order, which is by witness for disjoint groups.
     """
-    partition = partitioner_for(algebra)
-    transitions = [(q, pred, target, output)
-                   for q, pairs in state_partitions(evidence, evidence.alphabet, algebra,
-                                                    partition, memo)
-                   for (target, output), pred in pairs]
-    return SMealy(algebra, evidence.n_states, evidence.initial,
-                  evidence.outputs, transitions)
+    memo = {} if memo is None else memo
+    label_map, fresh = label_map_for(algebra), []
+
+    def partition(algebra, groups):  # called just before state_partitions yields the state
+        node = label_map(algebra, dict(enumerate(groups)))
+        preds = read_labels(algebra, node, range(len(groups)))
+        fresh.append((node, preds))
+        return [preds[i] for i in range(len(groups))]
+
+    states = {}
+    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition, memo):
+        if fresh:  # partitioned again: compile its label map
+            node, preds = fresh.pop()
+            keys = [key for key, _ in pairs]
+            memo[q] += ((tuple([Transition(q, pred, *keys[i]) for i, pred in preds.items()]),
+                         merged_table(node, keys, algebra.arity), ()),)
+        states[q] = memo[q][2]
+    return SMealy.__new__(SMealy)._install(algebra, evidence.n_states, evidence.initial,
+                                           evidence.outputs, states)
 
 
 def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMealy):
@@ -121,7 +136,7 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
     allows (see ``smalearn.partition``).
     """
     start = time.perf_counter()
-    memo = {}  # evidence state -> its groups and predicates, see state_partitions
+    memo = {}  # evidence state -> its groups, predicates and compiled state, see sep_pred
     if a0 is None:
         a0 = algebra.min_char()
     table = ObservationTable(algebra, oracle.output_query, a0)

@@ -12,15 +12,16 @@ refining sample sets without invalidating predicates it already inferred,
 and ``learn`` relies on it: a state keeps its predicates from round to round
 while its groups only grow inside them.
 
-Intervals and products label the cells of a label map with groups (per axis
+Both check their groups, label the cells of a label map with them (per axis
 a cut list from the axis minimum, each segment holding the map of the next
 axis or a group label), and ``algebra.read_labels`` reads each group's
-predicate back, as it does for every product predicate the algebra builds.
+predicate back.  ``learner.sep_pred`` calls the map builders (``label_map_for``)
+on its groups, which are disjoint and normalized, and compiles off the map.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .algebra import Algebra, AlgebraError, Predicate, INTERVAL_KINDS, read_labels
 
@@ -31,10 +32,15 @@ class PartitionError(ValueError):
 
 def partitioner_for(algebra: Algebra):
     """Pick the partitioning function matching the algebra kind."""
+    return partition_product if label_map_for(algebra) is product_map else partition_intervals
+
+
+def label_map_for(algebra: Algebra):
+    """Pick the label-map builder of the partitioning function matching the algebra kind."""
     if algebra.kind in INTERVAL_KINDS:
-        return partition_intervals
+        return interval_map
     if algebra.kind == "product":
-        return partition_product
+        return product_map
     raise AlgebraError(f"no partitioning function for kind {algebra.kind}")
 
 
@@ -56,6 +62,14 @@ def _check_groups(algebra: Algebra, groups) -> dict:
     return normd
 
 
+def _partition(algebra: Algebra, groups, label_map) -> list[Predicate]:
+    """Validate ``groups``, label a map with them and read each group's predicate off it."""
+    normd = _check_groups(algebra, groups)
+    preds = read_labels(algebra, label_map(algebra, normd), normd)
+    bottom = algebra.bottom()
+    return [preds[i] if i in preds else bottom for i in range(len(groups))]
+
+
 def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
     """Ascending sweep over a 1-D ordered domain.
 
@@ -66,11 +80,13 @@ def partition_intervals(algebra: Algebra, groups) -> list[Predicate]:
     """
     if algebra.kind not in INTERVAL_KINDS:
         raise AlgebraError(f"partition_intervals needs an interval algebra, got {algebra.kind}")
-    normd = _check_groups(algebra, groups)
-    samples, labels = zip(*sorted((a, i) for i, g in normd.items() for a in g))
-    preds = read_labels(algebra, ((algebra.min_char(),) + samples[1:], labels), normd)
-    bottom = algebra.bottom()
-    return [preds[i] if i in preds else bottom for i in range(len(groups))]
+    return _partition(algebra, groups, interval_map)
+
+
+def interval_map(algebra: Algebra, groups) -> tuple:
+    """``partition_intervals``' label map of ``groups``, label -> its normalized samples."""
+    samples, labels = zip(*sorted((a, i) for i, g in groups.items() for a in g))
+    return (algebra.min_char(),) + samples[1:], labels
 
 
 def partition_equality(algebra: Algebra, groups) -> list[Predicate]:
@@ -93,8 +109,12 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
     """
     if algebra.kind != "product":
         raise AlgebraError(f"partition_product needs a product algebra, got {algebra.kind}")
-    normd = _check_groups(algebra, groups)
-    items = sorted(((a, i) for i, g in normd.items() for a in g),
+    return _partition(algebra, groups, product_map)
+
+
+def product_map(algebra: Algebra, groups) -> tuple:
+    """``partition_product``'s label map of ``groups``, label -> its normalized samples."""
+    items = sorted(((a, i) for i, g in groups.items() for a in g),
                    key=lambda t: (sum(t[0]), t[0]))
     root = items[0][1]
     for axis in reversed(algebra.components):
@@ -116,13 +136,9 @@ def partition_product(algebra: Algebra, groups) -> list[Predicate]:
             elif subs[j] == at:
                 subs[j] = i
 
+    label_at = algebra.lookup(root)
     for a, i in items[1:]:
-        at = root
-        for x in a:  # down to the label of a's cell
-            at = at[1][bisect_right(at[0], x) - 1]
-        if at != i:
+        if (at := label_at(a)) != i:
             capture(root, a, at, i)
-    preds = read_labels(algebra, root, normd)
-    bottom = algebra.bottom()
-    return [preds[i] if i in preds else bottom for i in range(len(groups))]
+    return root
 

@@ -33,6 +33,8 @@ from helpers import (
     RescanTable,
     as_snapshot,
     check_hypothesis_per_word,
+    domain_chars,
+    endpoint_grid,
     sep_pred_full_layout,
     sym_machines,
 )
@@ -531,3 +533,42 @@ def test_sep_pred_matches_full_layout_reference_through_one_memo(kind, data):
             ref = sep_pred_full_layout(evidence, alg, partitioner_for(alg), ref_memo)
             assert hyp == ref and hyp.transitions == ref.transitions
             assert kept == ref_kept
+
+
+@pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",
+                                  "product-2", "product-3"])
+def test_sep_pred_compiles_each_state_as_its_guards_would_through_one_memo(kind):
+    """Each hypothesis's compiled tables, read off its partitions' label maps or kept in the
+    memo, and its transition order are what ``SMealy`` compiles from its guards; over the
+    examples, states are both kept and partitioned again."""
+    alg = GUARD_ALGEBRAS[kind]
+    decisions = set()
+
+    def recorded(*args):
+        decisions.add(kept := grows_inside(*args))
+        return kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        target = data.draw(sym_machines(alg, valid=True))
+        chars = essential_characters(target)
+        memo = {}
+        step = max(1, len(chars) // 10)
+        for extra, k in enumerate(sorted({*range(1, len(chars), step), len(chars)})):
+            evidence = grown_evidence(target, chars[:k], min(extra, 2))
+            hyp = sep_pred(evidence, alg, memo)
+            ref = SMealy(alg, evidence.n_states, 0, evidence.outputs,
+                         [(t.source, t.guard, t.target, t.output) for t in hyp.transitions])
+            assert (hyp._tables, hyp._overlaps, hyp.transitions, hyp.outputs) == \
+                (ref._tables, ref._overlaps, ref.transitions, ref.outputs)
+            probes = endpoint_grid(alg, [t.guard for t in hyp.transitions])
+            probes += data.draw(st.lists(domain_chars(alg), max_size=5))
+            assert all(hyp.step(q, a) == ref.step(q, a)
+                       for q in range(hyp.n_states) for a in probes)
+
+    grows_inside = automata._grows_inside
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_grows_inside", recorded)
+        check()
+    assert decisions == {True, False}
