@@ -1,10 +1,11 @@
 """Symbolic and concrete Mealy machines.
 
 ``SMealy`` is a deterministic, complete Mealy machine whose transitions carry
-predicates; ``ConcreteMealy`` is an ordinary Mealy machine over an explicit
-finite alphabet.  The module also provides exact equivalence checking via
-product exploration, restriction of a symbolic machine to a finite alphabet,
-and JSON / DOT serialization.
+predicates; ``ConcreteMealy`` is a Mealy machine over an explicit finite
+alphabet, one (successor, output) row per state, the form ``state_partitions``
+groups for the learner's evidence and the teacher's target.  The module also
+provides exact equivalence checking via product exploration, restriction of a
+symbolic machine to a finite alphabet, and JSON / DOT serialization.
 """
 
 from __future__ import annotations
@@ -269,56 +270,50 @@ def _char_key(a):
 
 
 class ConcreteMealy:
-    """Total Mealy machine over an explicit finite alphabet."""
+    """Total Mealy machine over an explicit finite alphabet: ``alphabet`` holds normalized
+    characters, strictly ascending, and ``rows[q]`` lists state ``q``'s (successor, output)
+    per character of ``alphabet``."""
 
-    def __init__(self, alphabet, n_states: int, initial: int, outputs, delta):
-        """``delta`` maps (state, char) to (state, output); must be total."""
-        self.alphabet = tuple(sorted(set(alphabet), key=_char_key))
-        if not self.alphabet:
+    def __init__(self, alphabet, rows, initial: int, outputs):
+        self.alphabet, self.rows, self.initial = tuple(alphabet), [list(r) for r in rows], initial
+        self.n_states, keys = len(self.rows), [_char_key(a) for a in self.alphabet]
+        if not keys:
             raise AutomatonError("alphabet must be non-empty")
-        if n_states < 1 or not 0 <= initial < n_states:
+        if any(k >= nxt for k, nxt in zip(keys, keys[1:])):
+            raise AutomatonError("alphabet must be strictly ascending")
+        if not 0 <= initial < self.n_states:
             raise AutomatonError("bad state count or initial state")
-        self.n_states = n_states
-        self.initial = initial
-        self.delta = dict(delta)
-        for q in range(n_states):
-            for a in self.alphabet:
-                if (q, a) not in self.delta:
-                    raise AutomatonError(f"missing transition ({q}, {format_char(a)})")
-        outs = list(dict.fromkeys(outputs))
-        for _, o in self.delta.values():
-            if o not in outs:
-                outs.append(o)
+        outs = dict.fromkeys(outputs)  # declared first, then the rows' in order
+        for q, row in enumerate(self.rows):
+            if len(row) != len(keys):
+                raise AutomatonError(f"state {q} has {len(row)} transitions, not {len(keys)}")
+            for a, (succ, out) in zip(self.alphabet, row):
+                if not 0 <= succ < self.n_states:
+                    raise AutomatonError(f"({q}, {format_char(a)}) to {succ}: state out of range")
+                outs.setdefault(out)
         self.outputs = tuple(outs)
+        self._index = {a: i for i, a in enumerate(self.alphabet)}  # character -> row position
 
     def __eq__(self, other):
         return (isinstance(other, ConcreteMealy)
                 and self.alphabet == other.alphabet
-                and self.n_states == other.n_states
                 and self.initial == other.initial
-                and self.delta == other.delta)
+                and self.rows == other.rows)
 
     def step(self, q, a):
-        try:
-            return self.delta[(q, a)]
-        except KeyError:
-            raise AutomatonError(f"no transition ({q}, {format_char(a)})") from None
+        i = self._index.get(a)
+        if i is None or not 0 <= q < self.n_states:
+            raise AutomatonError(f"no transition ({q}, {format_char(a)})")
+        return self.rows[q][i]
 
-    def run(self, word) -> str:
-        if not word:
-            raise AutomatonError("output of the empty word is undefined")
-        q = self.initial
-        out = None
-        for a in word:
-            q, out = self.step(q, a)
-        return out
+    run = SMealy.run  # the same walk, over this class's step
 
 
 def restrict(m: SMealy, sigma) -> ConcreteMealy:
     """Concrete machine agreeing with ``m`` on all words over ``sigma``."""
     chars = sorted({m.algebra.norm_char(a) for a in sigma}, key=_char_key)
-    delta = {(q, a): hit for q in range(m.n_states) for a, hit in zip(chars, _steps(m, q, chars))}
-    return ConcreteMealy(chars, m.n_states, m.initial, m.outputs, delta)
+    return ConcreteMealy(chars, [_steps(m, q, chars) for q in range(m.n_states)], m.initial,
+                         m.outputs)
 
 
 def _steps(m: SMealy, q: int, chars) -> list:
@@ -330,8 +325,8 @@ def _steps(m: SMealy, q: int, chars) -> list:
     return hits
 
 
-def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
-    """Per state, normalized ``chars`` grouped by the (successor, output) they reach, partitioned.
+def state_partitions(machine: ConcreteMealy, algebra: Algebra, partition, memo=None):
+    """Per state, the alphabet grouped by the (successor, output) it reaches, partitioned.
 
     Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
     pairs of the groups that hold samples, ordered by successor and then by the
@@ -348,10 +343,10 @@ def state_partitions(machine, chars, algebra: Algebra, partition, memo=None):
     """
     rank = {o: i for i, o in enumerate(machine.outputs)}
     memo = {} if memo is None else memo
-    for q in range(machine.n_states):
+    for q, row in enumerate(machine.rows):
         groups = defaultdict(set)
-        for a in chars:
-            groups[machine.step(q, a)].add(a)
+        for a, hit in zip(machine.alphabet, row):
+            groups[hit].add(a)
         old = memo.get(q)
         if old is not None and _grows_inside(old[0], old[1], groups):
             memo[q] = (groups, *old[1:])

@@ -119,9 +119,9 @@ def cmd_learn(args) -> int:
 def _print_trace_line(event):
     kind = event["event"]
     if kind == "repair":
-        t = event["table"]
-        _err(f"repair {event['kind']} |S|={len(t['S'])} |R|={len(t['R'])} "
-             f"|sigmaE|={len(t['sigma_e'])} |E|={len(t['E'])}")
+        n = event["sizes"]
+        _err(f"repair {event['kind']} |S|={n['S']} |R|={n['R']} "
+             f"|sigmaE|={n['sigma_e']} |E|={n['E']}")
     elif kind == "counterexample":
         word = "·".join(format_char(a) for a in event["word"])
         _err(f"counterexample {word}")

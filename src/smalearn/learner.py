@@ -38,20 +38,22 @@ class LearnStats:
 
 def build_evidence(table: ObservationTable) -> ConcreteMealy:
     """Concrete machine over sigma_e read off a cohesive table."""
-    rows = {}
+    states = {}  # S-row -> its state
     for i, s in enumerate(table.S):
         key = table.row(s)
-        if key in rows:
-            raise LearningError(f"S-rows {table.S[rows[key]]} and {s} coincide")
-        rows[key] = i
-    delta = {}
-    for i, s in enumerate(table.S):
-        for a in table.sigma_e:
-            succ = rows.get(table.row(s + (a,)))
+        if key in states:
+            raise LearningError(f"S-rows {table.S[states[key]]} and {s} coincide")
+        states[key] = i
+    sigma, rows = sorted(table.sigma_e), []
+    for s in table.S:
+        row = []
+        for a in sigma:
+            succ = states.get(table.row(s + (a,)))
             if succ is None:
                 raise LearningError(f"table is not closed at {s + (a,)}")
-            delta[(i, a)] = (succ, table.cell(s, (a,)))
-    return ConcreteMealy(table.sigma_e, len(table.S), 0, table.gamma, delta)
+            row.append((succ, table.cell(s, (a,))))
+        rows.append(row)
+    return ConcreteMealy(sigma, rows, 0, table.gamma)
 
 
 def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
@@ -74,7 +76,7 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
         return [preds[i] for i in range(len(groups))]
 
     states = {}
-    for q, pairs in state_partitions(evidence, evidence.alphabet, algebra, partition, memo):
+    for q, pairs in state_partitions(evidence, algebra, partition, memo):
         if fresh:  # partitioned again: compile its label map
             node, preds = fresh.pop()
             keys = [key for key, _ in pairs]
@@ -90,36 +92,36 @@ def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMe
 
     First the hypothesis must agree with the evidence machine on sigma_e: the
     same states and initial state, and per state the same (successor, output)
-    per character, stepped on its compiled lookups.  A column's output from
-    an evidence state does not depend on the word that reached it, so each
-    state's outputs over ``table.columns()`` are computed once, as one tuple,
-    and every word's row is compared with the tuple of its state.  Each
-    word's state is one step from its prefix's: the word set is
+    per character, stepped on its compiled lookups and compared with the
+    evidence's row unconverted.  The evidence is stepped by position in its rows.
+    A column's output from an evidence state does not depend on the word that
+    reached it, so each state's outputs over ``table.columns()`` are computed
+    once, as one tuple, and every word's row is compared with the tuple of its
+    state.  Each word's state is one step from its prefix's: the word set is
     prefix-closed, so in shortlex order every prefix comes first.  Words are
     compared in ``table.words()`` order and a mismatch names the first
     differing column in table order.
     """
-    sigma, delta = evidence.alphabet, evidence.delta
+    rows, index = evidence.rows, evidence._index
     if (hyp.n_states, hyp.initial) != (evidence.n_states, evidence.initial) or any(
-            _steps(hyp, q, sigma) != [delta[(q, a)] for a in sigma]
-            for q in range(evidence.n_states)):
+            _steps(hyp, q, evidence.alphabet) != row for q, row in enumerate(rows)):
         raise LearningError("hypothesis restricted to sigma_e differs from the evidence")
-    step = evidence.step
     columns = table.columns()
+    positions = [[index[a] for a in col] for col in columns]
 
     def outputs(q):
         out = []
-        for col in columns:
+        for col in positions:
             p = q
-            for a in col:
-                p, o = step(p, a)
+            for i in col:
+                p, o = rows[p][i]
             out.append(o)
         return tuple(out)
 
     expected = [outputs(q) for q in range(evidence.n_states)]
     state = {(): evidence.initial}
     for w in table._sorted_words[1:]:
-        state[w] = step(state[w[:-1]], w[-1])[0]
+        state[w] = rows[state[w[:-1]]][index[w[-1]]][0]
     for w in table.words():
         row, want = table.row(w), expected[state[w]]
         if row != want:
@@ -144,11 +146,14 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
     cap = max_rounds if max_rounds is not None else 10 * (len(table.sigma_e) + 1000)
 
     def emit(make_event):
-        # events, with their table snapshots, are built only when a trace is kept
+        # events are built only when a trace is kept; they give the table's sizes, not a copy
         if trace is not None:
             trace.append(make_event())
 
-    emit(lambda: {"event": "init", "table": table.snapshot()})
+    def sizes():
+        return {part: len(getattr(table, part)) for part in ("S", "R", "sigma_e", "E")}
+
+    emit(lambda: {"event": "init", "sizes": sizes()})
     result = None
     while result is None:
         stats.rounds += 1
@@ -157,7 +162,7 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
         while (defect := table.check()).kind != "cohesive":
             table.repair(defect)
             emit(lambda: {"event": "repair", "kind": defect.kind,
-                          "witness": defect.witness, "table": table.snapshot()})
+                          "witness": defect.witness, "sizes": sizes()})
         evidence = build_evidence(table)
         hyp = sep_pred(evidence, algebra, memo)
         _check_hypothesis(table, evidence, hyp)
@@ -172,7 +177,7 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
             cex = tuple(answer)
             stats.max_cex_len = max(stats.max_cex_len, len(cex))
             table.add_counterexample(cex)
-            emit(lambda: {"event": "counterexample", "word": cex, "table": table.snapshot()})
+            emit(lambda: {"event": "counterexample", "word": cex, "sizes": sizes()})
 
     stats.sigma_e_size = len(table.sigma_e)
     stats.r_size = len(table.R)

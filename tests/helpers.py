@@ -19,12 +19,19 @@ from smalearn.algebra import (
     flat_boxes,
     member,
 )
-from smalearn.partition import _check_groups
-from smalearn.automata import ConcreteMealy, SMealy, Violation, restrict, shortlex_key
+from smalearn.partition import _check_groups, partitioner_for
+from smalearn.automata import (
+    ConcreteMealy,
+    SMealy,
+    Violation,
+    _grows_inside,
+    restrict,
+    shortlex_key,
+)
 from smalearn.bench import make_builtin, make_worked_example
 from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
-from smalearn.oracle import essential_characters
+from smalearn.oracle import OracleAssumptionViolation, essential_characters
 
 NAT = Algebra.naturals()
 
@@ -85,6 +92,30 @@ def as_snapshot(spec):
     cells = {(w, col): v for w, values in rows.items() for col, v in zip(cols, values)}
     return {"S": tuple(s), "R": tuple(r), "sigma_e": tuple(sigma),
             "E": tuple(e), "cells": cells}
+
+
+def record_tables(monkeypatch):
+    """Snapshot a table after its construction, each ``repair`` and each ``add_counterexample``.
+
+    ``learn`` emits its ``init``, ``repair`` and ``counterexample`` events right
+    after those calls, with the table's sizes only.  The returned function puts
+    the snapshots, in call order, into those events of a finished learn's trace
+    under ``"table"``, where the golden-trace assertions read them.
+    """
+    snapshots = []
+    for name in ("__init__", "repair", "add_counterexample"):
+        def wrapper(self, *args, _call=getattr(ObservationTable, name), **kwargs):
+            result = _call(self, *args, **kwargs)
+            snapshots.append(self.snapshot())
+            return result
+        monkeypatch.setattr(ObservationTable, name, wrapper)
+
+    def attach(trace):
+        events = [e for e in trace if e["event"] in ("init", "repair", "counterexample")]
+        assert len(events) == len(snapshots)
+        for event, snapshot in zip(events, snapshots):
+            event["table"] = snapshot
+    return attach
 
 
 # -- random sampling helpers --------------------------------------------------
@@ -992,6 +1023,50 @@ def sep_pred_full_layout(evidence: ConcreteMealy, algebra: Algebra, partition, m
             if not pred.is_false():
                 transitions.append((q, pred, target, output))
     return SMealy(algebra, evidence.n_states, evidence.initial, evidence.outputs, transitions)
+
+
+# -- reference reconstruction check that steps the target ---------------------------
+
+
+def state_partitions_stepped(machine, chars, algebra: Algebra, partition, memo=None):
+    """Per state, normalized ``chars`` grouped by the (successor, output) they reach, partitioned.
+
+    This is ``smalearn.automata.state_partitions`` as it was when it stepped
+    ``machine`` (an ``SMealy`` or a ``ConcreteMealy``) on ``chars`` instead of
+    reading a concrete machine's rows, copied verbatim but for its name and
+    docstring.
+    """
+    rank = {o: i for i, o in enumerate(machine.outputs)}
+    memo = {} if memo is None else memo
+    for q in range(machine.n_states):
+        groups = defaultdict(set)
+        for a in chars:
+            groups[machine.step(q, a)].add(a)
+        old = memo.get(q)
+        if old is not None and _grows_inside(old[0], old[1], groups):
+            memo[q] = (groups, *old[1:])
+        else:
+            keys = sorted(groups, key=lambda key: (key[0], rank[key[1]]))
+            memo[q] = groups, dict(zip(keys, partition(algebra, [groups[key] for key in keys])))
+        yield q, memo[q][1].items()
+
+
+def check_partition_reconstruction_stepped(target: SMealy, chars):
+    """``smalearn.oracle.check_partition_reconstruction`` as it was before it read the target's
+    restriction to ``chars``, copied verbatim but for its name, this docstring and the
+    stepping ``state_partitions`` above; ``partitioner_for`` is looked up in this module."""
+    alg = target.algebra
+    bottom = alg.bottom()
+    for q, pairs in state_partitions_stepped(target, chars, alg, partitioner_for(alg)):
+        rebuilt = dict(pairs)
+        guards = {(tr.target, tr.output): tr.guard for tr in target.state_transitions(q)}
+        if rebuilt != guards:  # name the first differing key in state_partitions' order
+            key = min((k for k in rebuilt.keys() | guards.keys()
+                       if rebuilt.get(k, bottom) != guards.get(k, bottom)),
+                      key=lambda k: (k[0], target.outputs.index(k[1])))
+            raise OracleAssumptionViolation(
+                f"state {q}, group {key}: partitioning function rebuilds "
+                f"{rebuilt.get(key, bottom)!r} instead of {guards.get(key, bottom)!r}")
 
 
 # -- one-field mutations of machine files ------------------------------------------

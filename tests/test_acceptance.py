@@ -21,6 +21,7 @@ from helpers import (
     product_probe,
     random_nat_groups,
     random_product_groups,
+    record_tables,
     sym_machines,
 )
 from hypothesis import given, settings
@@ -65,12 +66,13 @@ def test_generated_targets_learned_exactly_within_bounds(kind, data):
         assert stats.output_queries <= theorem_output_bound(target.n_states, m, f)
 
 
-def test_criterion_1_golden_trace():
+def test_criterion_1_golden_trace(monkeypatch):
     started = time.perf_counter()
     target = make_worked_example()
     oracle = ScriptedOracle(target, GOLDEN_COUNTEREXAMPLES)
-    trace = []
+    trace, attach_tables = [], record_tables(monkeypatch)
     learned, stats = learn(oracle, NAT, trace=trace)
+    attach_tables(trace)
 
     assert stats.eq_queries == 4
     assert learned == target

@@ -235,7 +235,49 @@ def test_bottom_guard_rejected():
 
 def test_concrete_requires_totality():
     with pytest.raises(AutomatonError):
-        ConcreteMealy((0, 1), 1, 0, [], {(0, 0): (0, "x")})
+        ConcreteMealy((0, 1), [[(0, "x")]], 0, [])
+
+
+@pytest.mark.parametrize("alphabet,rows,initial,message", [
+    ((), [], 0, "alphabet must be non-empty"),
+    ((5, 0), [[(0, "x"), (0, "y")]], 0, "alphabet must be strictly ascending"),
+    ((0, 0), [[(0, "x"), (0, "y")]], 0, "alphabet must be strictly ascending"),
+    ((0, 5), [[(0, "x"), (0, "y")], [(0, "x")]], 0, "state 1 has 1 transitions, not 2"),
+    ((0, 5), [[(0, "x"), (1, "y")]], 0, r"\(0, 5\) to 1: state out of range"),
+    ((0, 5), [[(0, "x"), (0, "y")]], 1, "bad state count or initial state"),
+], ids=["empty-alphabet", "unsorted", "duplicate", "ragged", "successor", "initial"])
+def test_concrete_rejects_malformed_rows(alphabet, rows, initial, message):
+    with pytest.raises(AutomatonError, match=f"^{message}$"):
+        ConcreteMealy(alphabet, rows, initial, [])
+
+
+def test_concrete_rows_step_run_and_outputs():
+    m = ConcreteMealy((0, 5), [[(1, "b"), (0, "a")], [(1, "c"), (0, "b")]], 0, ["a"])
+    assert m.n_states == 2 and m.outputs == ("a", "b", "c")  # declared, then the rows' in order
+    assert m.step(1, 5) == (0, "b") and m.run((0, 0, 5)) == "b"
+    for q, a in ((0, 3), (2, 0), (-1, 0)):
+        with pytest.raises(AutomatonError, match=rf"^no transition \({q}, {a}\)$"):
+            m.step(q, a)
+    assert m == ConcreteMealy([0, 5], (((1, "b"), (0, "a")), ((1, "c"), (0, "b"))), 0, [])
+    assert m != ConcreteMealy((0, 5), m.rows, 1, ["a"])
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_restriction_steps_like_the_machine(kind, data):
+    """Every state of a restriction steps each character as the symbolic machine does."""
+    alg = GUARD_ALGEBRAS[kind]
+    m = data.draw(sym_machines(alg, valid=True))
+    grid = endpoint_grid(alg, [t.guard for t in m.transitions])
+    chars = data.draw(st.lists(st.one_of(st.sampled_from(grid), domain_chars(alg)),
+                               min_size=1, max_size=8))
+    conc = restrict(m, chars)
+    assert conc.alphabet == tuple(sorted({alg.norm_char(a) for a in chars}))
+    assert (conc.n_states, conc.initial, conc.outputs) == (m.n_states, m.initial, m.outputs)
+    for q in range(m.n_states):
+        for a in chars:
+            assert conc.step(q, alg.norm_char(a)) == m.step(q, a)
 
 
 def two_state_data(**changes):
@@ -644,9 +686,9 @@ def test_states_without_transitions_reported_incomplete():
 
 def evidence_from_state0(moves, n_states=1):
     """Evidence-like machine: state 0 maps each character to its (successor, output)."""
-    delta = {(q, a): (0, "a") for q in range(1, n_states) for a in moves}
-    delta.update({(0, a): move for a, move in moves.items()})
-    return ConcreteMealy(list(moves), n_states, 0, ["a", "b"], delta)
+    alphabet = sorted(moves)
+    rows = [[moves[a] for a in alphabet]] + [[(0, "a")] * len(alphabet)] * (n_states - 1)
+    return ConcreteMealy(alphabet, rows, 0, ["a", "b"])
 
 
 @pytest.mark.parametrize("after,kept", [
@@ -659,15 +701,12 @@ def evidence_from_state0(moves, n_states=1):
 def test_state_partitions_memo_keeps_only_what_partitioning_again_would_give(after, kept):
     before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
     memo = {}
-    first = [dict(pairs) for _, pairs in state_partitions(before, before.alphabet, NAT,
-                                                          partition_intervals, memo)]
+    first = [dict(pairs) for _, pairs in state_partitions(before, NAT, partition_intervals, memo)]
     assert first[0] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
     kept_preds = memo[0][1]
     machine = evidence_from_state0(after, n_states=2)
-    again = [list(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
-                                                          partition_intervals, memo)]
-    fresh = [list(pairs) for _, pairs in state_partitions(machine, machine.alphabet, NAT,
-                                                          partition_intervals)]
+    again = [list(pairs) for _, pairs in state_partitions(machine, NAT, partition_intervals, memo)]
+    fresh = [list(pairs) for _, pairs in state_partitions(machine, NAT, partition_intervals)]
     assert again == fresh
     # exactly the keys whose groups hold samples, by successor and then output rank
     assert [[key for key, _ in pairs] for pairs in again] == [

@@ -153,13 +153,80 @@ def test_learn_trace_goes_to_stderr(capsys):
     # each repair line gives the kind and table sizes of the same learn's repair event, in order
     target, trace = make_worked_example(), []
     learn(Oracle(target, mode="lexmin"), target.algebra, trace=trace)
-    repairs = [(e["kind"], *(str(len(e["table"][k])) for k in ("S", "R", "sigma_e", "E")))
+    repairs = [(e["kind"], *(str(e["sizes"][k]) for k in ("S", "R", "sigma_e", "E")))
                for e in trace if e["event"] == "repair"]
     shown = re.findall(
         r"^smalearn: repair (\w+) \|S\|=(\d+) \|R\|=(\d+) \|sigmaE\|=(\d+) \|E\|=(\d+)$",
         err, re.MULTILINE)
     assert repairs and shown == repairs
     assert len(shown) == err.count("smalearn: repair ")
+
+
+# The full stderr of ``smalearn learn --bench ... --trace``, one list entry per line.
+TRACE_WORKED_EXAMPLE = [
+    'smalearn: hypothesis states=1',
+    'smalearn: counterexample 20',
+    'smalearn: repair not_output_closed |S|=1 |R|=2 |sigmaE|=2 |E|=0',
+    'smalearn: hypothesis states=1',
+    'smalearn: counterexample 0·0·0',
+    'smalearn: repair not_consistent |S|=1 |R|=4 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_closed |S|=2 |R|=3 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_closed |S|=3 |R|=2 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_closed |S|=4 |R|=1 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=2 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=3 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=4 |sigmaE|=2 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=5 |sigmaE|=2 |E|=1',
+    'smalearn: hypothesis states=4',
+    'smalearn: counterexample 0·0·10·0',
+    'smalearn: repair not_output_closed |S|=4 |R|=7 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=8 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=9 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=4 |R|=10 |sigmaE|=3 |E|=1',
+    'smalearn: hypothesis states=4',
+]
+TRACE_LOWER_3_3 = [
+    'smalearn: hypothesis states=1',
+    'smalearn: counterexample 10',
+    'smalearn: repair not_output_closed |S|=1 |R|=2 |sigmaE|=2 |E|=0',
+    'smalearn: hypothesis states=1',
+    'smalearn: counterexample 20',
+    'smalearn: repair not_output_closed |S|=1 |R|=3 |sigmaE|=3 |E|=0',
+    'smalearn: hypothesis states=1',
+    'smalearn: counterexample 0·0·10',
+    'smalearn: repair not_consistent |S|=1 |R|=5 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_closed |S|=2 |R|=4 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_closed |S|=3 |R|=3 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=3 |R|=4 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=3 |R|=5 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=3 |R|=6 |sigmaE|=3 |E|=1',
+    'smalearn: repair not_evidence_closed |S|=3 |R|=7 |sigmaE|=3 |E|=1',
+    'smalearn: hypothesis states=3',
+    'smalearn: counterexample 0·0·0·0·20',
+    'smalearn: repair not_consistent |S|=3 |R|=9 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_closed |S|=4 |R|=8 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_closed |S|=5 |R|=7 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_evidence_closed |S|=5 |R|=8 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_evidence_closed |S|=5 |R|=9 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_evidence_closed |S|=5 |R|=10 |sigmaE|=3 |E|=2',
+    'smalearn: repair not_evidence_closed |S|=5 |R|=11 |sigmaE|=3 |E|=2',
+    'smalearn: hypothesis states=5',
+    'smalearn: counterexample 0·0·0·0·0·0·0·10',
+    'smalearn: repair not_consistent |S|=5 |R|=14 |sigmaE|=3 |E|=3',
+    'smalearn: repair not_closed |S|=6 |R|=13 |sigmaE|=3 |E|=3',
+    'smalearn: repair not_evidence_closed |S|=6 |R|=14 |sigmaE|=3 |E|=3',
+    'smalearn: repair not_evidence_closed |S|=6 |R|=15 |sigmaE|=3 |E|=3',
+    'smalearn: hypothesis states=6',
+]
+
+
+@pytest.mark.parametrize("bench,lines", [("worked-example", TRACE_WORKED_EXAMPLE),
+                                         ("lower:3,3", TRACE_LOWER_3_3)],
+                         ids=["worked-example", "lower-3-3"])
+def test_learn_trace_text_is_locked(capsys, bench, lines):
+    code, _, err = run_cli(capsys, "learn", "--bench", bench, "--trace")
+    assert code == 0
+    assert err.splitlines() == lines
 
 
 def test_learn_with_init_override(capsys):

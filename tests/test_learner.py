@@ -35,16 +35,18 @@ from helpers import (
     check_hypothesis_per_word,
     domain_chars,
     endpoint_grid,
+    record_tables,
     sep_pred_full_layout,
     sym_machines,
 )
 
 
-def test_golden_trace_step_for_step():
+def test_golden_trace_step_for_step(monkeypatch):
     target = make_worked_example()
     oracle = ScriptedOracle(target, GOLDEN_COUNTEREXAMPLES)
-    trace = []
+    trace, attach_tables = [], record_tables(monkeypatch)
     learned, stats = learn(oracle, NAT, trace=trace)
+    attach_tables(trace)
 
     assert stats.eq_queries == 4
     assert symbolic_equiv(learned, target) is None
@@ -149,6 +151,46 @@ def bound_output_queries(n, m, f):
     return (f + m + 1) * n * n + (2 * m + f + 1) * f * n + m * f * f
 
 
+@pytest.mark.parametrize("target", [make_worked_example(), make_mh(), make_lower_bound(3, 3),
+                                    random_sma(RandomSpec(8, 6, 1))],
+                         ids=["worked-example", "mh", "lower-3-3", "nat-8-6-1"])
+def test_evidence_rows_read_the_cohesive_table(monkeypatch, target):
+    """In every round, evidence state i is S[i], and it steps each character a of sigma_e to
+    (the state whose row is row(S[i]·a), cell(S[i], a))."""
+    check, rounds = learner._check_hypothesis, []
+
+    def checked(table, evidence, hyp):
+        state = {table.row(s): i for i, s in enumerate(table.S)}
+        assert evidence.alphabet == tuple(sorted(table.sigma_e))
+        assert (evidence.n_states, evidence.initial) == (len(table.S), 0)
+        assert evidence.outputs == tuple(table.gamma)
+        for i, s in enumerate(table.S):
+            for a in table.sigma_e:
+                assert evidence.step(i, a) == (state[table.row(s + (a,))], table.cell(s, (a,)))
+        rounds.append(evidence)
+        check(table, evidence, hyp)
+
+    monkeypatch.setattr(learner, "_check_hypothesis", checked)
+    learned, stats = learn(Oracle(target), target.algebra)
+    assert symbolic_equiv(learned, target) is None
+    assert len(rounds) == stats.eq_queries
+
+
+def test_evidence_from_a_table_that_is_not_cohesive():
+    target = make_worked_example()
+    table = ObservationTable(NAT, target.run, 0)
+    table.make_closed(Defect("not_closed", ((0,),)))  # row(0) equals row(ε)
+    with pytest.raises(LearningError, match=r"^S-rows \(\) and \(0,\) coincide$"):
+        build_evidence(table)
+    table = ObservationTable(NAT, target.run, 0)
+    for cex in GOLDEN_COUNTEREXAMPLES[:2]:
+        table.add_counterexample(cex)
+        table.repair(table.check())
+    assert table.check() == Defect("not_closed", ((0,),))
+    with pytest.raises(LearningError, match=r"^table is not closed at \(0,\)$"):
+        build_evidence(table)
+
+
 def test_random_targets_end_to_end_invariants():
     for seed in range(6):
         spec = RandomSpec(n=8, k=6, seed=seed)
@@ -195,13 +237,17 @@ def test_round_cap():
 
 
 def test_learn_without_trace_takes_no_snapshot(monkeypatch):
+    """No learn copies its table, traced or not: a trace's events carry the table's sizes."""
     def refuse(self):
-        raise AssertionError("snapshot taken although no trace was requested")
+        raise AssertionError("table snapshot taken in a learn")
 
     monkeypatch.setattr(ObservationTable, "snapshot", refuse)
-    for target in (make_worked_example(), make_lower_bound(3, 3)):
-        learned, _ = learn(Oracle(target, mode="lexmin"), NAT)
-        assert symbolic_equiv(learned, target) is None
+    for trace in (None, []):
+        for target in (make_worked_example(), make_lower_bound(3, 3)):
+            learned, _ = learn(Oracle(target, mode="lexmin"), NAT, trace=trace)
+            assert symbolic_equiv(learned, target) is None
+    assert all(set(e["sizes"]) == {"S", "R", "sigma_e", "E"}
+               for e in trace if e["event"] in ("init", "repair", "counterexample"))
 
 
 def assert_table_consistent(table):
@@ -334,19 +380,18 @@ def test_corrupted_cells_fail_both_hypothesis_checks_alike(monkeypatch, target, 
 def off_the_evidence(evidence: ConcreteMealy, how: str, rng: random.Random) -> ConcreteMealy:
     """``evidence`` with one successor or one output changed, a copy of state 0 added, or
     state 1 made initial."""
-    n, initial, delta = evidence.n_states, evidence.initial, dict(evidence.delta)
-    q, a = rng.choice(list(delta))
-    succ, out = delta[(q, a)]
+    n, initial, rows = evidence.n_states, evidence.initial, [list(r) for r in evidence.rows]
+    q, i = rng.choice([(q, i) for q in range(n) for i in range(len(evidence.alphabet))])
+    succ, out = rows[q][i]
     if how == "successor":
-        delta[(q, a)] = ((succ + 1) % n, out)
+        rows[q][i] = ((succ + 1) % n, out)
     elif how == "output":
-        delta[(q, a)] = (succ, out + "!")
+        rows[q][i] = (succ, out + "!")
     elif how == "extra-state":
-        delta.update({(n, b): delta[(0, b)] for b in evidence.alphabet})
-        n += 1
+        rows.append(list(rows[0]))
     else:
         initial = 1
-    return ConcreteMealy(evidence.alphabet, n, initial, evidence.outputs, delta)
+    return ConcreteMealy(evidence.alphabet, rows, initial, evidence.outputs)
 
 
 @pytest.mark.parametrize("how", ["successor", "output", "extra-state", "initial"])
@@ -496,10 +541,9 @@ def grown_evidence(target, chars, extra):
     with output "w" and ``extra`` declared outputs that no transition gives."""
     base = restrict(target, chars)
     n = base.n_states
-    delta = dict(base.delta)
-    delta.update({(q, a): (q, "w") for q in range(n, n + extra) for a in base.alphabet})
+    rows = base.rows + [[(q, "w")] * len(base.alphabet) for q in range(n, n + extra)]
     outputs = [*base.outputs, "w", *(f"v{i}" for i in range(extra))]
-    return ConcreteMealy(base.alphabet, n + extra, base.initial, outputs, delta)
+    return ConcreteMealy(base.alphabet, rows, base.initial, outputs)
 
 
 @pytest.mark.parametrize("kind", ["interval-nat", "interval-nat-bounded", "interval-real",

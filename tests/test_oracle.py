@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     GUARD_ALGEBRAS,
     INCOMPLETE_WORKED_EXAMPLES,
     FullTableSearch,
+    check_partition_reconstruction_stepped,
     domain_chars,
     essential_characters_two_branch,
     lexmin_search,
@@ -229,8 +231,7 @@ def test_oracles_on_one_target_check_it_once(monkeypatch):
 
 def test_a_failed_reconstruction_check_is_not_remembered(monkeypatch):
     target = make_builtin("mh")
-    monkeypatch.setattr(oracle, "partitioner_for",
-                        lambda alg: lambda alg, groups: [alg.bottom() for _ in groups])
+    monkeypatch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
     for _ in range(2):
         with pytest.raises(OracleAssumptionViolation):
             Oracle(target)
@@ -295,12 +296,54 @@ def test_reconstruction_check_names_the_first_wrong_group_from_the_axis_minimum(
 @pytest.mark.parametrize("name", sorted(RECONSTRUCTION_TARGETS))
 def test_reconstruction_check_catches_a_partitioner_that_rebuilds_bottoms(name, monkeypatch):
     tgt = RECONSTRUCTION_TARGETS[name]
-    monkeypatch.setattr(oracle, "partitioner_for",
-                        lambda alg: lambda alg, groups: [alg.bottom() for _ in groups])
+    monkeypatch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
     with pytest.raises(OracleAssumptionViolation, match=r"^state 0, group .* rebuilds <false>"):
         check_partition_reconstruction(tgt, essential_characters(tgt))
     with pytest.raises(OracleAssumptionViolation):
         Oracle(tgt)
+
+
+def rebuilds_bottoms(alg):
+    """A partitioner factory whose partitioners return bottom for every group."""
+    return lambda alg, groups: [alg.bottom() for _ in groups]
+
+
+def reconstruction_message(check, target, chars):
+    try:
+        check(target, chars)
+    except OracleAssumptionViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("partitioner", ["real", "bottoms"])
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_reconstruction_check_matches_the_stepping_reference(kind, partitioner, data):
+    """On generated targets and non-empty sets of their essential characters, the check over
+    the target's restriction raises the message of the reference that steps the target, or
+    neither raises; also with a partitioner that rebuilds bottoms."""
+    target = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=True))
+    essential = essential_characters(target)
+    chars = data.draw(st.one_of(st.just(essential),
+                                st.lists(st.sampled_from(essential), min_size=1, unique=True)))
+    with pytest.MonkeyPatch.context() as patch:
+        if partitioner == "bottoms":
+            patch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
+            patch.setattr(helpers, "partitioner_for", rebuilds_bottoms)
+        got = reconstruction_message(check_partition_reconstruction, target, chars)
+        want = reconstruction_message(check_partition_reconstruction_stepped, target, chars)
+    assert got == want
+    assert partitioner == "real" or got is not None
+
+
+def test_reconstruction_check_restricts_the_target_first(monkeypatch):
+    """The target is restricted before any state is partitioned: a state without
+    transitions raises its ``AutomatonError`` before state 0's failed reconstruction."""
+    monkeypatch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
+    with pytest.raises(AutomatonError, match=r"^no transition from state 3 on 0$"):
+        EquivOracle(worked_example_without(3))
 
 
 def test_lexmin_counterexamples_match_reference_run():
