@@ -2,7 +2,7 @@
 
 ``SMealy`` is a deterministic, complete Mealy machine whose transitions carry
 predicates; ``ConcreteMealy`` is a Mealy machine over an explicit finite
-alphabet, one (successor, output) row per state, the form ``state_partitions``
+alphabet, one (successor, output) row per state, the form ``state_groups``
 groups for the learner's evidence and the teacher's target.  The module also
 provides exact equivalence checking via product exploration, restriction of a
 symbolic machine to a finite alphabet, and JSON / DOT serialization.
@@ -21,7 +21,6 @@ from .algebra import (
     Predicate,
     format_char,
     format_predicate,
-    member,
     read_labels,
 )
 
@@ -325,43 +324,14 @@ def _steps(m: SMealy, q: int, chars) -> list:
     return hits
 
 
-def state_partitions(machine: ConcreteMealy, algebra: Algebra, partition, memo=None):
-    """Per state, the alphabet grouped by the (successor, output) it reaches, partitioned.
-
-    Yields ``(q, pairs)`` with ``pairs`` the ``((successor, output), predicate)``
-    pairs of the groups that hold samples, ordered by successor and then by the
-    output's rank in ``machine.outputs``.  Only those groups are partitioned, so
-    no predicate is bottom.
-
-    ``memo`` maps a state to its groups and predicates, both keyed by
-    (successor, output), then what the caller appends (``sep_pred``: the
-    compiled state), from an earlier call on a machine whose states and
-    outputs mean the same.  A state keeps its entry while its groups keep
-    their keys, every earlier sample stays in its group and every new one lies
-    inside its group's predicate, which a stable ``partition`` would reproduce;
-    otherwise it is partitioned again.
-    """
-    rank = {o: i for i, o in enumerate(machine.outputs)}
-    memo = {} if memo is None else memo
-    for q, row in enumerate(machine.rows):
+def state_groups(machine: ConcreteMealy):
+    """Per state in order, the dict from each (successor, output) to the set of characters
+    of the alphabet that reach it."""
+    for row in machine.rows:
         groups = defaultdict(set)
         for a, hit in zip(machine.alphabet, row):
             groups[hit].add(a)
-        old = memo.get(q)
-        if old is not None and _grows_inside(old[0], old[1], groups):
-            memo[q] = (groups, *old[1:])
-        else:
-            keys = sorted(groups, key=lambda key: (key[0], rank[key[1]]))
-            memo[q] = groups, dict(zip(keys, partition(algebra, [groups[key] for key in keys])))
-        yield q, memo[q][1].items()
-
-
-def _grows_inside(old_groups, old_preds, groups) -> bool:
-    """Whether ``groups`` has the keys of ``old_groups`` and only adds samples to them,
-    each inside its key's predicate in ``old_preds``."""
-    return groups.keys() == old_groups.keys() and all(
-        old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
-        for key, g in groups.items())
+        yield groups
 
 
 def first_difference(edges, start):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import Algebra, merged_table, read_labels
-from .automata import ConcreteMealy, SMealy, Transition, _steps, state_partitions
+from .algebra import Algebra, member, merged_table, read_labels
+from .automata import ConcreteMealy, SMealy, Transition, _steps, state_groups
 from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .obstable import ObservationTable
 from .partition import label_map_for
@@ -59,32 +59,44 @@ def build_evidence(table: ObservationTable) -> ConcreteMealy:
 def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
     """Generalize evidence characters into predicates, one state at a time.
 
-    For each state the alphabet is grouped by (successor, output), and the
-    groups that hold samples are partitioned into one transition each (see
-    ``state_partitions``, which also explains ``memo``).  Evidence groups are
-    disjoint and normalized, so they go to the label-map builder unchecked, and
-    a state partitioned again is compiled off its map (``merged_table``), its
-    transitions in ``read_labels`` order, which is by witness for disjoint groups.
+    For each state the alphabet is grouped by (successor, output)
+    (``state_groups``), and the groups are partitioned into one transition
+    each.  Evidence groups are disjoint and normalized, so they go to the
+    label-map builder unchecked, and the state is compiled off its map
+    (``merged_table``), its transitions in ``read_labels`` order, which is by
+    witness for disjoint groups, whatever the order of the groups.
+
+    ``memo`` maps a state to its groups, predicates (keyed by (successor,
+    output)) and compiled state, from an earlier call on evidence whose states
+    and outputs mean the same.  A state keeps its entry while its groups keep
+    their keys, every earlier sample stays in its group and every new one lies
+    inside its group's predicate, which a stable partitioning function would
+    reproduce (see ``smalearn.partition``); otherwise it is partitioned again.
     """
     memo = {} if memo is None else memo
-    label_map, fresh = label_map_for(algebra), []
-
-    def partition(algebra, groups):  # called just before state_partitions yields the state
-        node = label_map(algebra, dict(enumerate(groups)))
-        preds = read_labels(algebra, node, range(len(groups)))
-        fresh.append((node, preds))
-        return [preds[i] for i in range(len(groups))]
-
-    states = {}
-    for q, pairs in state_partitions(evidence, algebra, partition, memo):
-        if fresh:  # partitioned again: compile its label map
-            node, preds = fresh.pop()
-            keys = [key for key, _ in pairs]
-            memo[q] += ((tuple([Transition(q, pred, *keys[i]) for i, pred in preds.items()]),
-                         merged_table(node, keys, algebra.arity), ()),)
+    label_map, states = label_map_for(algebra), {}
+    for q, groups in enumerate(state_groups(evidence)):
+        old = memo.get(q)
+        if old is not None and _grows_inside(old[0], old[1], groups):
+            memo[q] = (groups, *old[1:])
+        else:
+            keys = list(groups)
+            node = label_map(algebra, dict(enumerate(groups.values())))
+            labels = read_labels(algebra, node, range(len(keys)))  # by witness
+            preds = {keys[i]: pred for i, pred in labels.items()}
+            trs = tuple([Transition(q, pred, *key) for key, pred in preds.items()])
+            memo[q] = groups, preds, (trs, merged_table(node, keys, algebra.arity), ())
         states[q] = memo[q][2]
     return SMealy.__new__(SMealy)._install(algebra, evidence.n_states, evidence.initial,
                                            evidence.outputs, states)
+
+
+def _grows_inside(old_groups, old_preds, groups) -> bool:
+    """Whether ``groups`` has the keys of ``old_groups`` and only adds samples to them,
+    each inside its key's predicate in ``old_preds``."""
+    return groups.keys() == old_groups.keys() and all(
+        old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
+        for key, g in groups.items())
 
 
 def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMealy):

@@ -18,8 +18,7 @@ order.  A new column splices its cell into every row at its index; the
 The table keeps the indexes its defect search reads, and updates them as it
 changes instead of rebuilding them on every :func:`check`:
 
-* ``S ∪ R`` and ``R`` as lists in shortlex order, extended when rows are
-  added (``make_closed`` moves a word from the ``R`` list to ``S``);
+* ``S ∪ R`` as a list in shortlex order, extended when rows are added;
 * the columns, in table order, in shortlex order and as a column -> index
   dict, rebuilt when a column is added;
 * the set of ``S`` rows, extended by ``make_closed``;
@@ -49,9 +48,9 @@ evidence-gap heap does not read rows and is never rebuilt.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
 from .algebra import Algebra
@@ -89,7 +88,6 @@ class ObservationTable:
         self.gamma = []  # output symbols in first-seen order
         self._rows = {}  # S ∪ R -> its cells in column order
         self._sorted_words = [(), (a0,)]  # S ∪ R in shortlex order
-        self._sorted_R = [(a0,)]
         self._columns = [(a0,)]
         self._sorted_columns = [(a0,)]
         self._index = {(a0,): 0}  # column -> its index in a row
@@ -196,9 +194,8 @@ class ObservationTable:
         s_rows = self._s_rows
         if s_rows is None:
             s_rows = self._s_rows = {self.row(s) for s in self.S}
-            # a list in shortlex order is already a heap
-            self._unclosed = [(shortlex_key(r), r) for r in self._sorted_R
-                              if self.row(r) not in s_rows]
+            self._unclosed = [(shortlex_key(r), r) for r in self.R if self.row(r) not in s_rows]
+            heapify(self._unclosed)
         heap = self._unclosed
         while heap and self.row(heap[0][1]) in s_rows:
             heappop(heap)
@@ -232,10 +229,8 @@ class ObservationTable:
 
     def make_closed(self, defect: Defect):
         (r,) = defect.witness
-        i = bisect_left(self._sorted_R, shortlex_key(r), key=shortlex_key)
-        if i == len(self._sorted_R) or self._sorted_R[i] != r:
+        if r not in self.R:
             raise ValueError(f"{r} is not an R-row")
-        del self._sorted_R[i]
         self.R.remove(r)
         self.S.append(r)
         if self._s_rows is not None:
@@ -277,7 +272,6 @@ class ObservationTable:
         self._fill_rows(new)
         for w in new:
             insort(self._sorted_words, w, key=shortlex_key)
-            insort(self._sorted_R, w, key=shortlex_key)
             if self._s_rows is not None and self.row(w) not in self._s_rows:
                 heappush(self._unclosed, (shortlex_key(w), w))
             if self._groups is not None:

@@ -22,7 +22,7 @@ from functools import cache
 from operator import attrgetter
 
 from .automata import (SMealy, _no_transition, _steps, first_difference, restrict,
-                       state_partitions, symbolic_equiv)
+                       state_groups, symbolic_equiv)
 from .partition import partitioner_for
 
 
@@ -44,13 +44,14 @@ def essential_characters(target: SMealy) -> list:
 
 
 def check_partition_reconstruction(target: SMealy, chars):
-    """Verify the partitioning function rebuilds every state's partition."""
+    """Verify the partitioning function rebuilds every state's partition from the target's
+    restriction to ``chars``, grouped per state as the learner groups its evidence."""
     alg = target.algebra
     bottom = alg.bottom()
-    for q, pairs in state_partitions(restrict(target, chars), alg, partitioner_for(alg)):
-        rebuilt = dict(pairs)
+    for q, groups in enumerate(state_groups(restrict(target, chars))):
+        rebuilt = dict(zip(groups, partitioner_for(alg)(alg, list(groups.values()))))
         guards = {(tr.target, tr.output): tr.guard for tr in target.state_transitions(q)}
-        if rebuilt != guards:  # name the first differing key in state_partitions' order
+        if rebuilt != guards:  # name the first differing key, by successor and output rank
             key = min((k for k in rebuilt.keys() | guards.keys()
                        if rebuilt.get(k, bottom) != guards.get(k, bottom)),
                       key=lambda k: (k[0], target.outputs.index(k[1])))

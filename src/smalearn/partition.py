@@ -4,13 +4,13 @@ Every function here takes an ordered list of pairwise-disjoint finite sample
 sets and returns a same-length list of predicates that are pairwise disjoint,
 jointly cover the domain, and contain their samples; an empty group gets
 bottom.  For intervals and products a group's predicate depends neither on
-the empty groups nor on the groups' order, so ``automata.state_partitions``
-passes only the groups that hold samples.  The functions are
-deterministic and *stable*: enlarging each sample set within its own output
+the empty groups nor on the groups' order, so the groups of
+``automata.state_groups``, which all hold samples, are passed in the order
+they come.  The functions are deterministic and *stable*: enlarging each sample set within its own output
 predicate does not change the result.  Stability is what lets a learner keep
 refining sample sets without invalidating predicates it already inferred,
-and ``learn`` relies on it: a state keeps its predicates from round to round
-while its groups only grow inside them.
+and ``learner.sep_pred`` relies on it: a state keeps its predicates from
+round to round while its groups only grow inside them.
 
 Both check their groups, label the cells of a label map with them (per axis
 a cut list from the axis minimum, each segment holding the map of the next

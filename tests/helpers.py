@@ -24,12 +24,11 @@ from smalearn.automata import (
     ConcreteMealy,
     SMealy,
     Violation,
-    _grows_inside,
     restrict,
     shortlex_key,
 )
 from smalearn.bench import make_builtin, make_worked_example
-from smalearn.learner import LearningError
+from smalearn.learner import LearningError, _grows_inside
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import OracleAssumptionViolation, essential_characters
 

@@ -30,12 +30,10 @@ from smalearn.automata import (
     ConcreteMealy,
     SMealy,
     restrict,
-    state_partitions,
     symbolic_equiv,
 )
 from smalearn.bench import make_builtin, make_worked_example
 from smalearn.oracle import essential_characters
-from smalearn.partition import partition_intervals
 
 NAT = Algebra.naturals()
 
@@ -682,35 +680,3 @@ def test_states_without_transitions_reported_incomplete():
         "state 4: uncovered region [3,inf)", "state 5: uncovered region [0,inf)"]
     huge = SMealy.from_json(unused_states_data(10 ** 12))  # no work per state
     assert [str(v) for v in huge.validate()] == ["states 1-999999999999: uncovered region [0,inf)"]
-
-
-def evidence_from_state0(moves, n_states=1):
-    """Evidence-like machine: state 0 maps each character to its (successor, output)."""
-    alphabet = sorted(moves)
-    rows = [[moves[a] for a in alphabet]] + [[(0, "a")] * len(alphabet)] * (n_states - 1)
-    return ConcreteMealy(alphabet, rows, 0, ["a", "b"])
-
-
-@pytest.mark.parametrize("after,kept", [
-    ({0: (0, "a"), 5: (0, "b"), 7: (0, "b"), 2: (0, "a")}, True),  # each inside its predicate
-    ({0: (0, "a"), 5: (0, "b"), 3: (0, "b")}, False),  # 3 lies in the other group's predicate
-    ({5: (0, "b")}, False),  # sample 0 left its group
-    ({0: (0, "b"), 5: (0, "b")}, False),  # sample 0 moved to the other group
-    ({0: (0, "a"), 5: (0, "b"), 9: (1, "a")}, False),  # a key that was empty gets a sample
-], ids=["grown-inside", "grown-outside", "sample-left", "sample-moved", "new-key"])
-def test_state_partitions_memo_keeps_only_what_partitioning_again_would_give(after, kept):
-    before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
-    memo = {}
-    first = [dict(pairs) for _, pairs in state_partitions(before, NAT, partition_intervals, memo)]
-    assert first[0] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
-    kept_preds = memo[0][1]
-    machine = evidence_from_state0(after, n_states=2)
-    again = [list(pairs) for _, pairs in state_partitions(machine, NAT, partition_intervals, memo)]
-    fresh = [list(pairs) for _, pairs in state_partitions(machine, NAT, partition_intervals)]
-    assert again == fresh
-    # exactly the keys whose groups hold samples, by successor and then output rank
-    assert [[key for key, _ in pairs] for pairs in again] == [
-        sorted({machine.step(q, a) for a in machine.alphabet},
-               key=lambda key: (key[0], machine.outputs.index(key[1])))
-        for q in range(machine.n_states)]
-    assert (memo[0][1].get((0, "a")) is kept_preds[(0, "a")]) == kept

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalearn import automata, learner
+from smalearn import learner
 from smalearn.algebra import Algebra
 from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key, symbolic_equiv
 from smalearn.bench import (
@@ -261,7 +261,6 @@ def assert_table_consistent(table):
                      for col, out in zip(table.columns(), row)}
     assert table.structural_violations() == []
     assert table._sorted_words == sorted(words, key=shortlex_key)
-    assert table._sorted_R == sorted(table.R, key=shortlex_key)
     assert table._sorted_columns == sorted(table.columns(), key=shortlex_key)
     if table._s_rows is not None:
         assert table._s_rows == {table.row(s) for s in table.S}
@@ -426,7 +425,7 @@ def fresh_partition_every_round():
     earlier round's entry in the memo.
     """
     reused = []
-    sep_pred_memo, grows_inside = learner.sep_pred, automata._grows_inside
+    sep_pred_memo, grows_inside = learner.sep_pred, learner._grows_inside
 
     def checked(evidence, algebra, memo=None):
         assert memo is not None
@@ -441,7 +440,7 @@ def fresh_partition_every_round():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner, "sep_pred", checked)
-        mp.setattr(automata, "_grows_inside", recorded)
+        mp.setattr(learner, "_grows_inside", recorded)
         yield reused
 
 
@@ -567,7 +566,7 @@ def test_sep_pred_matches_full_layout_reference_through_one_memo(kind, data):
         return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "_grows_inside", recording(automata._grows_inside, kept))
+        mp.setattr(learner, "_grows_inside", recording(learner._grows_inside, kept))
         mp.setattr(helpers, "_grows_inside_full_layout",
                    recording(helpers._grows_inside_full_layout, ref_kept))
         step = max(1, len(chars) // 10)  # at most about ten rounds on large grids
@@ -611,8 +610,41 @@ def test_sep_pred_compiles_each_state_as_its_guards_would_through_one_memo(kind)
             assert all(hyp.step(q, a) == ref.step(q, a)
                        for q in range(hyp.n_states) for a in probes)
 
-    grows_inside = automata._grows_inside
+    grows_inside = learner._grows_inside
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "_grows_inside", recorded)
+        mp.setattr(learner, "_grows_inside", recorded)
         check()
     assert decisions == {True, False}
+
+
+def evidence_from_state0(moves, n_states=1):
+    """Evidence-like machine: state 0 maps each character to its (successor, output)."""
+    alphabet = sorted(moves)
+    rows = [[moves[a] for a in alphabet]] + [[(0, "a")] * len(alphabet)] * (n_states - 1)
+    return ConcreteMealy(alphabet, rows, 0, ["a", "b"])
+
+
+@pytest.mark.parametrize("after,kept", [
+    ({0: (0, "a"), 5: (0, "b"), 7: (0, "b"), 2: (0, "a")}, True),  # each inside its predicate
+    ({0: (0, "a"), 5: (0, "b"), 3: (0, "b")}, False),  # 3 lies in the other group's predicate
+    ({5: (0, "b")}, False),  # sample 0 left its group
+    ({0: (0, "b"), 5: (0, "b")}, False),  # sample 0 moved to the other group
+    ({0: (0, "a"), 5: (0, "b"), 9: (1, "a")}, False),  # a key that was empty gets a sample
+], ids=["grown-inside", "grown-outside", "sample-left", "sample-moved", "new-key"])
+def test_sep_pred_memo_keeps_only_what_partitioning_again_would_give(after, kept):
+    before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
+    memo = {}
+    sep_pred(before, NAT, memo)
+    assert memo[0][1] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
+    kept_preds = memo[0][1]
+    machine = evidence_from_state0(after, n_states=2)
+    again = sep_pred(machine, NAT, memo)
+    fresh = sep_pred(machine, NAT)
+    assert again == fresh and again._tables == fresh._tables
+    # one transition per key whose group holds samples, by witness
+    assert [{(t.target, t.output) for t in again.state_transitions(q)}
+            for q in range(machine.n_states)] == [
+        {machine.step(q, a) for a in machine.alphabet} for q in range(machine.n_states)]
+    assert again.transitions == SMealy(NAT, machine.n_states, 0, machine.outputs, [
+        (t.source, t.guard, t.target, t.output) for t in again.transitions]).transitions
+    assert (memo[0][1].get((0, "a")) is kept_preds[(0, "a")]) == kept

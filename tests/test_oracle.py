@@ -20,9 +20,9 @@ from helpers import (
     sym_machines,
     worked_example_without,
 )
-from smalearn import oracle
+from smalearn import learner, oracle
 from smalearn.algebra import Algebra, AlgebraError
-from smalearn.automata import AutomatonError, SMealy, symbolic_equiv
+from smalearn.automata import AutomatonError, SMealy, restrict, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
     make_atgs,
@@ -32,6 +32,7 @@ from smalearn.bench import (
     make_worked_example,
     random_sma,
 )
+from smalearn.learner import sep_pred
 from smalearn.oracle import (
     EquivOracle,
     Oracle,
@@ -344,6 +345,61 @@ def test_reconstruction_check_restricts_the_target_first(monkeypatch):
     monkeypatch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
     with pytest.raises(AutomatonError, match=r"^no transition from state 3 on 0$"):
         EquivOracle(worked_example_without(3))
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reconstruction_check_fails_exactly_when_sep_pred_misses_the_target(kind, data):
+    """The learner partitions through the label maps, the check through the public
+    partitioner: on a non-empty set of the essential characters, the check raises exactly
+    when ``sep_pred`` on the target's restriction is not the target.  With all of them,
+    ``sep_pred`` rebuilds the target, compiled tables included."""
+    target = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=True))
+    essential = essential_characters(target)
+    chars = data.draw(st.lists(st.sampled_from(essential), min_size=1, unique=True))
+    missed = sep_pred(restrict(target, chars), target.algebra) != target
+    assert (reconstruction_message(check_partition_reconstruction, target, chars)
+            is not None) == missed
+    full = sep_pred(restrict(target, essential), target.algebra)
+    assert full == target and full._tables == target._tables
+
+
+def groups_reversed(state_groups):
+    """``state_groups`` with each state's groups in reversed key order."""
+    def groups(machine):
+        for state in state_groups(machine):
+            yield dict(reversed(state.items()))
+    return groups
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_group_order_changes_neither_hypothesis_nor_reconstruction_check(kind, data):
+    """``sep_pred``, through a memo kept from a smaller alphabet, and the reconstruction
+    check, with the real partitioner and with one that rebuilds bottoms, give the same
+    results when each state's groups come in reversed key order."""
+    target = data.draw(sym_machines(GUARD_ALGEBRAS[kind], valid=True))
+    alg, essential = target.algebra, essential_characters(target)
+    chars = data.draw(st.lists(st.sampled_from(essential), min_size=1, unique=True))
+
+    def results():
+        memo = {}
+        hyps = [sep_pred(restrict(target, cs), alg, memo) for cs in (chars, essential)]
+        messages = [reconstruction_message(check_partition_reconstruction, target, chars)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
+            messages.append(reconstruction_message(check_partition_reconstruction, target,
+                                                   chars))
+        return [(h, h.transitions, h._tables) for h in hyps], messages
+
+    want = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learner, "state_groups", groups_reversed(learner.state_groups))
+        patch.setattr(oracle, "state_groups", groups_reversed(oracle.state_groups))
+        got = results()
+    assert got == want
 
 
 def test_lexmin_counterexamples_match_reference_run():

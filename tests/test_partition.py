@@ -142,8 +142,8 @@ def test_product_validity_and_stability_randomized(axes_spec):
 @pytest.mark.parametrize("name", ["nat", "real", "nn", "bn", "nnn", "rn"])
 def test_predicates_ignore_empty_groups_and_group_order(name):
     """A group's predicate stays the same when empty groups are inserted anywhere and the
-    groups are permuted; empty groups get bottom.  ``state_partitions`` passes only the
-    groups that hold samples, in an order of its own, and relies on this."""
+    groups are permuted; empty groups get bottom.  ``sep_pred`` and the reconstruction check
+    pass only the groups that hold samples, in ``state_groups``' order, and rely on this."""
     axis_map = {"n": Algebra.naturals(), "b": Algebra.naturals(bound=2), "r": Algebra.reals()}
     rng = random.Random(f"reorder-{name}")
     if name in ("nat", "real"):
