@@ -135,10 +135,10 @@ class SMealy:
         return hit
 
     def run(self, word) -> str:
+        word = tuple(word)
         if not word:
             raise AutomatonError("output of the empty word is undefined")
         q = self.initial
-        out = None
         for a in word:
             q, out = self.step(q, a)
         return out

@@ -8,10 +8,13 @@ those characters to the partitioning function reproduces each state's guard
 partition, which is verified at construction; it is that property that lets
 a learner terminate without ever seeing other characters.  Both search
 modes of one query read one product graph of hypothesis and target over
-those characters, stepped on the two machines' compiled tables for the
-pairs it reaches.  The lexmin mode walks it with ``first_difference``, the
-breadth-first walk ``symbolic_equiv`` runs too; only the random mode, which
-reads a pair's edges more than once, keeps them.
+those characters, built for the pairs it reaches from per-state rows: each
+``EquivOracle`` keeps, for its own life and not on the target, every
+compiled state table it has stepped with that state's row, so a state
+whose table the learner keeps is stepped once per learn.  The lexmin mode
+walks the graph with ``first_difference``, the breadth-first walk
+``symbolic_equiv`` runs too; only the random mode, which reads a pair's
+edges more than once, keeps them for its query.
 """
 
 from __future__ import annotations
@@ -66,50 +69,47 @@ class OutputOracle:
     Each character object is checked with ``norm_char`` when first seen,
     before the cache lookup, and its normal form kept by identity (a value
     key would take ``True`` for ``1``); a failed word moves no count.  Each
-    answered word is cached with the target state it leads to, and a new
-    word is run on the target's compiled tables from the state of its
-    longest answered prefix.  A learner asks ``w·col`` after ``w``, so that
-    costs about ``|col|`` steps.
+    answered word is cached with the (successor, output) leaf of the
+    target's compiled table that its last step returned, not a new tuple,
+    and a new word is run on those tables from the state of its longest
+    answered prefix.  A learner asks ``w·col`` after ``w``, so that costs
+    about ``|col|`` steps.
     """
 
     def __init__(self, target: SMealy):
         self.target = target
-        self._cache = {}  # answered word -> (state reached, output)
+        self._cache = {}  # answered word -> its last step's (successor, output) table leaf
         self._chars = {}  # id(a) -> (a, its normal form); holding a keeps id(a) from reuse
         self.distinct_queries = 0
         self.total_queries = 0
 
     def query(self, word) -> str:
+        word = tuple(word)
         if not word:
             raise ValueError("output query needs a non-empty word")
-        word = tuple(word)
-        chars = self._chars
+        chars, cache = self._chars, self._cache
         for a in word:  # before the lookup: an equal cached word may hold other characters
             if id(a) not in chars:
                 chars[id(a)] = a, self.target.algebra.norm_char(a)
-        hit = self._cache.get(word)
+        hit = cache.get(word)
         if hit is None:
-            hit = self._cache[word] = self._run(word)
+            q, start = self.target.initial, 0
+            for i in range(len(word) - 1, 0, -1):
+                prefix = cache.get(word[:i])
+                if prefix is not None:
+                    q, start = prefix[0], i
+                    break
+            finds = self.target._find
+            for a in word[start:]:
+                a = chars[id(a)][1]
+                hit = finds[q](a) if q in finds else None
+                if hit is None:
+                    raise _no_transition(q, a)
+                q = hit[0]
+            cache[word] = hit
             self.distinct_queries += 1
         self.total_queries += 1
         return hit[1]
-
-    def _run(self, word):
-        cache, chars = self._cache, self._chars
-        q, start = self.target.initial, 0
-        for i in range(len(word) - 1, 0, -1):
-            prefix = cache.get(word[:i])
-            if prefix is not None:
-                q, start = prefix[0], i
-                break
-        finds = self.target._find
-        for a in word[start:]:
-            a = chars[id(a)][1]
-            hit = finds[q](a) if q in finds else None
-            if hit is None:
-                raise _no_transition(q, a)
-            q, out = hit
-        return q, out
 
 
 class EquivOracle:
@@ -126,6 +126,7 @@ class EquivOracle:
             check_partition_reconstruction(target, essential)
             target._oracle_setup = tuple(essential)
         self.essential = list(target._oracle_setup)
+        self._rows = {}  # compiled state table -> its (successor, output) per essential char
         self.queries = 0
 
     def query(self, hyp: SMealy):
@@ -133,7 +134,7 @@ class EquivOracle:
         self.queries += 1
         if symbolic_equiv(hyp, self.target) is None:
             return None
-        edges = _product_graph(hyp, self.target, self.essential)
+        edges = _product_graph(hyp, self.target, self.essential, self._rows)
         start = (hyp.initial, self.target.initial)
         cex = (first_difference(edges, start) if self.mode == "lexmin"
                else self._search_random(hyp, edges, start))
@@ -206,11 +207,21 @@ class EquivOracle:
         return tuple(word)
 
 
-def _product_graph(hyp: SMealy, target: SMealy, chars):
+def _product_graph(hyp: SMealy, target: SMealy, chars, rows):
     """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of ``chars`` in
-    order, stepped on both machines' compiled lookups on every call; nothing is kept."""
+    order, from each state's ``_steps`` row, hypothesis first.  ``rows`` maps a compiled state
+    table to its row, kept by the caller: equal tables of one algebra step alike, so a state
+    is stepped once however many pairs or queries reach it.  A state without a table, or one
+    that misses a character, is stepped again and raises on every call."""
+    def row(m, q):
+        table = m._tables.get(q)  # None for a state without transitions, never stored
+        hits = rows.get(table)
+        if hits is None:
+            hits = rows[table] = _steps(m, q, chars)
+        return hits
+
     def edges(pair):
-        hits = zip(chars, _steps(hyp, pair[0], chars), _steps(target, pair[1], chars))
+        hits = zip(chars, row(hyp, pair[0]), row(target, pair[1]))
         return [(a, (h[0], g[0]), h[1] != g[1]) for a, h, g in hits]
     return edges
 

@@ -24,6 +24,7 @@ from smalearn.automata import (
     ConcreteMealy,
     SMealy,
     Violation,
+    _no_transition,
     restrict,
     shortlex_key,
 )
@@ -437,6 +438,54 @@ def check_hypothesis_per_word(table: ObservationTable, evidence: ConcreteMealy, 
                 p, out = step(p, a)
             if out != table.cell(w, col):
                 raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
+
+
+# -- reference output oracle ----------------------------------------------------
+
+
+class OutputOracleWithRun:
+    """The output oracle as it was before ``query`` answered in one frame, for differential
+    tests: ``query`` and ``_run`` copied verbatim; the cache keeps a new (state reached,
+    output) tuple per word."""
+
+    def __init__(self, target: SMealy):
+        self.target = target
+        self._cache = {}  # answered word -> (state reached, output)
+        self._chars = {}  # id(a) -> (a, its normal form); holding a keeps id(a) from reuse
+        self.distinct_queries = 0
+        self.total_queries = 0
+
+    def query(self, word) -> str:
+        if not word:
+            raise ValueError("output query needs a non-empty word")
+        word = tuple(word)
+        chars = self._chars
+        for a in word:  # before the lookup: an equal cached word may hold other characters
+            if id(a) not in chars:
+                chars[id(a)] = a, self.target.algebra.norm_char(a)
+        hit = self._cache.get(word)
+        if hit is None:
+            hit = self._cache[word] = self._run(word)
+            self.distinct_queries += 1
+        self.total_queries += 1
+        return hit[1]
+
+    def _run(self, word):
+        cache, chars = self._cache, self._chars
+        q, start = self.target.initial, 0
+        for i in range(len(word) - 1, 0, -1):
+            prefix = cache.get(word[:i])
+            if prefix is not None:
+                q, start = prefix[0], i
+                break
+        finds = self.target._find
+        for a in word[start:]:
+            a = chars[id(a)][1]
+            hit = finds[q](a) if q in finds else None
+            if hit is None:
+                raise _no_transition(q, a)
+            q, out = hit
+        return q, out
 
 
 # -- reference random equivalence search ---------------------------------------

@@ -15,11 +15,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
-from smalearn import learner
+from smalearn import learner, oracle
 from smalearn.bench import RandomSpec, make_builtin, random_sma
 from smalearn.oracle import Oracle
 
@@ -85,6 +86,44 @@ def record(case) -> dict:
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_behaviour_matches_lock(case):
     assert record(case) == case["expect"]
+
+
+@pytest.mark.parametrize("name", ["mh-lexmin", "mh-random-1", "atgs-lexmin-stop-25"])
+def test_each_compiled_table_is_stepped_once_per_equivalence_oracle(name, monkeypatch):
+    """The equivalence teacher steps a state's compiled table once for its whole life, not
+    once per state pair or query, and serves the locked counterexamples."""
+    case, stepped = next(c for c in CASES if c["name"] == name), []
+    steps = oracle._steps
+    monkeypatch.setattr(oracle, "_steps",
+                        lambda m, q, chars: stepped.append(m._tables[q]) or steps(m, q, chars))
+    assert record(case) == case["expect"]
+    assert stepped and len(stepped) == len(set(stepped))
+
+
+def test_the_row_memo_stays_off_the_target():
+    """The rows live in one Oracle: the target gains no attribute, and a second Oracle on it
+    starts empty and serves the same counterexamples and rng states, in order."""
+    target = make_builtin("mh")
+
+    def served(teacher):
+        log = []
+
+        def equivalence_query(hyp):
+            log.append((teacher.equivalence_query(hyp), teacher.equiv.rng.getstate()))
+            return log[-1][0]
+        proxy = SimpleNamespace(output_query=teacher.output_query,
+                                equivalence_query=equivalence_query)
+        learner.learn(proxy, target.algebra)
+        return log
+
+    first = Oracle(target, mode="random", seed=1)
+    keys, setup = list(vars(target)), target._oracle_setup
+    log = served(first)
+    assert list(vars(target)) == keys and target._oracle_setup is setup
+    assert len(log) > 2 and first.equiv._rows
+    second = Oracle(target, mode="random", seed=1)
+    assert second.equiv._rows == {}
+    assert served(second) == log
 
 
 # (builtin name or random spec, teacher mode or None for the builtin itself,

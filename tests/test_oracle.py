@@ -212,6 +212,108 @@ def test_output_queries_answer_and_count_as_run_does(kind, data):
         assert (oo.distinct_queries, oo.total_queries) == (len(seen), sum(seen.values()))
 
 
+@pytest.mark.parametrize("empty", [lambda: iter([]), lambda: (a for a in ())],
+                         ids=["iterator", "generator"])
+def test_an_empty_iterable_raises_the_documented_error(empty):
+    target = make_builtin("worked-example")
+    teacher = Oracle(target)
+    with pytest.raises(ValueError, match="^output query needs a non-empty word$"):
+        teacher.output_query(empty())
+    assert (teacher.output.distinct_queries, teacher.output.total_queries) == (0, 0)
+    for machine in (target, restrict(target, teacher.essential)):
+        with pytest.raises(AutomatonError, match="^output of the empty word is undefined$"):
+            machine.run(empty())
+    assert teacher.output_query(iter([20])) == target.run(iter([20])) == "B"
+    assert (teacher.output.distinct_queries, teacher.output.total_queries) == (1, 1)
+
+
+# Characters equal to one of another type, each pair in both directions: the teacher must
+# check each apart, as ``True`` and ``Fraction(1, 2)`` are no characters of any algebra.
+EQUAL_PAIRS = [(1, True), (True, 1), (0.5, Fraction(1, 2)), (Fraction(1, 2), 0.5)]
+
+
+def _swapped(a):
+    """``a`` with each component found in ``EQUAL_PAIRS`` (by type and value) replaced by its
+    partner: an equal character, or an equal word, built of other objects."""
+    if isinstance(a, tuple):
+        return tuple(_swapped(x) for x in a)
+    return next((y for x, y in EQUAL_PAIRS if type(a) is type(x) and a == x), a)
+
+
+@st.composite
+def _differential_words(draw, alg):
+    """Words, empty ones too, over domain characters, characters built of ``1`` (and ``0.5``
+    on real axes) and rejected values; words extend, repeat or swap (see ``_swapped``) earlier ones."""
+    axes = alg.components if alg.kind == "product" else (alg,)
+    paired = st.tuples(*(st.sampled_from([1] if axis.kind == "interval-nat" else [1, 0.5])
+                         for axis in axes))
+    pool = draw(st.lists(st.one_of(domain_chars(alg), paired.map(
+        lambda t: t if alg.kind == "product" else t[0])), min_size=1, max_size=4))
+
+    def char():
+        a = draw(st.sampled_from(pool))
+        return draw(_hostile(alg, a)) if draw(st.integers(0, 7)) == 0 else a
+
+    words = []
+    for _ in range(draw(st.integers(1, 12))):
+        how = draw(st.sampled_from(["new", "extend", "extend", "repeat", "swap", "swap",
+                                    "empty"])) if words else "new"
+        if how in ("repeat", "swap"):
+            word = draw(st.sampled_from(words))
+            words.append(word if how == "repeat" else _swapped(word))
+        elif how == "empty":
+            words.append(())
+        else:
+            base = draw(st.sampled_from(words)) if how == "extend" else ()
+            words.append(base + tuple(char() for _ in range(draw(st.integers(1, 3)))))
+    return words
+
+
+def _outcome(query, word):
+    """The answer to ``word``, or the type of what it raises."""
+    try:
+        return query(word)
+    except Exception as exc:  # the type is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_output_oracle_matches_the_two_step_reference(kind, data):
+    """Answers, exception types, both counts and the cached (state, output) per word agree
+    with the oracle as it was before ``query`` answered in one frame, also on machines with
+    gaps, overlaps and a state without transitions that a word reaches mid-way."""
+    alg = GUARD_ALGEBRAS[kind]
+    target = data.draw(sym_machines(alg, valid=data.draw(st.booleans())))
+    bare = data.draw(st.sampled_from([None, None, *range(target.n_states)]))
+    if bare is not None:
+        target = SMealy(alg, target.n_states, target.initial, [],
+                        [(t.source, t.guard, t.target, t.output)
+                         for t in target.transitions if t.source != bare])
+    oo, ref = OutputOracle(target), helpers.OutputOracleWithRun(target)
+    for word in data.draw(_differential_words(alg)):
+        assert _outcome(oo.query, word) == _outcome(ref.query, word)
+        assert (oo.distinct_queries, oo.total_queries) == (ref.distinct_queries,
+                                                           ref.total_queries)
+    assert list(oo._cache.items()) == list(ref._cache.items())
+
+
+@pytest.mark.parametrize("name", sorted(INCOMPLETE_WORKED_EXAMPLES))
+def test_output_oracle_matches_the_two_step_reference_past_a_gap(name):
+    """A word that fails mid-way, at a gap or a state without transitions, fails alike
+    whether its prefix is cached or not, and moves no count."""
+    state, lo, word, _message = INCOMPLETE_WORKED_EXAMPLES[name]
+    target = worked_example_without(state, lo)
+    oo, ref = OutputOracle(target), helpers.OutputOracleWithRun(target)
+    for w in (word, word[:-1], word, word + (0,), word[:-1] + (True,), word[:-1] + (1,)):
+        assert _outcome(oo.query, w) == _outcome(ref.query, w)
+        assert (oo.distinct_queries, oo.total_queries) == (ref.distinct_queries,
+                                                           ref.total_queries)
+    assert _outcome(oo.query, word) is AutomatonError
+    assert list(oo._cache.items()) == list(ref._cache.items())
+
+
 def test_oracles_on_one_target_check_it_once(monkeypatch):
     checked = []
     check = oracle.check_partition_reconstruction
