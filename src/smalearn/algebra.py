@@ -423,13 +423,13 @@ def _first_match_node(axes, rows, values, overlaps):
     return tuple(out_cuts), tuple(out_vals)
 
 
-def merged_table(node, values, depth):
-    """Label map ``node`` over ``depth`` axes, leaf label ``i`` replaced by ``values[i]`` and
-    merged as ``_first_match_node`` merges: the ``first_match`` table of the labels'
-    predicates, if every cell is labelled."""
+def merged_table(node, depth):
+    """Label map ``node`` over ``depth`` axes with adjacent equal entries merged, as
+    ``_first_match_node`` merges: the ``first_match`` table of the labels' predicates,
+    with the labels as values, if every cell is labelled."""
     out_cuts, out_vals = [], []
     for c, entry in zip(*node):
-        entry = values[entry] if depth == 1 else merged_table(entry, values, depth - 1)
+        entry = merged_table(entry, depth - 1) if depth > 1 else entry
         if not out_vals or out_vals[-1] != entry:
             out_cuts.append(c)
             out_vals.append(entry)

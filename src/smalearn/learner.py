@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import Algebra, member, merged_table, read_labels
+from .algebra import Algebra, merged_table, read_labels
 from .automata import ConcreteMealy, SMealy, Transition, _steps, state_groups
 from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .obstable import ObservationTable
@@ -62,40 +62,38 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
     For each state the alphabet is grouped by (successor, output)
     (``state_groups``), and the groups are partitioned into one transition
     each.  Evidence groups are disjoint and normalized, so they go to the
-    label-map builder unchecked, and the state is compiled off its map
-    (``merged_table``), its transitions in ``read_labels`` order, which is by
+    label-map builder unchecked, labelled with their (successor, output)
+    keys; the map, merged (``merged_table``), is the state's compiled table,
+    and its guards are read off it, in ``read_labels`` order, which is by
     witness for disjoint groups, whatever the order of the groups.
 
-    ``memo`` maps a state to its groups, predicates (keyed by (successor,
-    output)) and compiled state, from an earlier call on evidence whose states
-    and outputs mean the same.  A state keeps its entry while its groups keep
-    their keys, every earlier sample stays in its group and every new one lies
-    inside its group's predicate, which a stable partitioning function would
-    reproduce (see ``smalearn.partition``); otherwise it is partitioned again.
+    ``memo`` maps a state to its groups and compiled state, from an earlier
+    call on evidence whose states and outputs mean the same.  A state keeps its
+    entry while its groups keep their keys, every earlier sample stays in its
+    group and every new one lies in its key's cells of the table, which a
+    stable partitioning function would reproduce (see ``smalearn.partition``);
+    otherwise it is partitioned again.
     """
     memo = {} if memo is None else memo
     label_map, states = label_map_for(algebra), {}
     for q, groups in enumerate(state_groups(evidence)):
         old = memo.get(q)
-        if old is not None and _grows_inside(old[0], old[1], groups):
-            memo[q] = (groups, *old[1:])
+        if old is not None and _grows_inside(old[0], algebra.lookup(old[1][1]), groups):
+            state = old[1]
         else:
-            keys = list(groups)
-            node = label_map(algebra, dict(enumerate(groups.values())))
-            labels = read_labels(algebra, node, range(len(keys)))  # by witness
-            preds = {keys[i]: pred for i, pred in labels.items()}
-            trs = tuple([Transition(q, pred, *key) for key, pred in preds.items()])
-            memo[q] = groups, preds, (trs, merged_table(node, keys, algebra.arity), ())
-        states[q] = memo[q][2]
+            table = merged_table(label_map(algebra, groups), algebra.arity)
+            state = tuple([Transition(q, pred, *key) for key, pred
+                           in read_labels(algebra, table, groups).items()]), table, ()
+        memo[q], states[q] = (groups, state), state
     return SMealy.__new__(SMealy)._install(algebra, evidence.n_states, evidence.initial,
                                            evidence.outputs, states)
 
 
-def _grows_inside(old_groups, old_preds, groups) -> bool:
+def _grows_inside(old_groups, find, groups) -> bool:
     """Whether ``groups`` has the keys of ``old_groups`` and only adds samples to them,
-    each inside its key's predicate in ``old_preds``."""
+    each where ``find``, the lookup of the old compiled table, gives its key."""
     return groups.keys() == old_groups.keys() and all(
-        old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
+        old_groups[key] <= g and all(find(a) == key for a in g - old_groups[key])
         for key, g in groups.items())
 
 
@@ -147,10 +145,12 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
 
     Each state's predicates are kept from round to round while its sample
     groups only grow inside them, which the partitioning functions' stability
-    allows (see ``smalearn.partition``).
+    allows (see ``smalearn.partition``).  A counterexample after which the
+    table needs no repair is one the hypothesis already answers as the
+    teacher does, and ends the learn with ``LearningError``.
     """
     start = time.perf_counter()
-    memo = {}  # evidence state -> its groups, predicates and compiled state, see sep_pred
+    memo = {}  # evidence state -> its groups and compiled state, see sep_pred
     if a0 is None:
         a0 = algebra.min_char()
     table = ObservationTable(algebra, oracle.output_query, a0)
@@ -166,18 +166,21 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
         return {part: len(getattr(table, part)) for part in ("S", "R", "sigma_e", "E")}
 
     emit(lambda: {"event": "init", "sizes": sizes()})
-    result = None
+    result = cex = None  # cex: the last counterexample, until a repair follows it
     while result is None:
         stats.rounds += 1
         if stats.rounds > cap:
             raise LearningError(f"no convergence within {cap} rounds")
         while (defect := table.check()).kind != "cohesive":
             table.repair(defect)
+            cex = None
             emit(lambda: {"event": "repair", "kind": defect.kind,
                           "witness": defect.witness, "sizes": sizes()})
         evidence = build_evidence(table)
         hyp = sep_pred(evidence, algebra, memo)
         _check_hypothesis(table, evidence, hyp)
+        if cex is not None:  # no repair since cex: hyp is as it was and matches cex's cell
+            raise LearningError(f"counterexample {cex} does not distinguish the hypothesis")
         emit(lambda: {"event": "hypothesis", "states": hyp.n_states,
                       "sigma_e": tuple(table.sigma_e)})
         answer = oracle.equivalence_query(hyp)

@@ -19,8 +19,8 @@ The table keeps the indexes its defect search reads, and updates them as it
 changes instead of rebuilding them on every :func:`check`:
 
 * ``S ∪ R`` as a list in shortlex order, extended when rows are added;
-* the columns, in table order, in shortlex order and as a column -> index
-  dict, rebuilt when a column is added;
+* the columns, in table order and as a column -> index dict, rebuilt when a
+  column is added;
 * the set of ``S`` rows, extended by ``make_closed``;
 * the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
   ``(row(p), a)``, each group in shortlex order with its cached
@@ -89,7 +89,6 @@ class ObservationTable:
         self._rows = {}  # S ∪ R -> its cells in column order
         self._sorted_words = [(), (a0,)]  # S ∪ R in shortlex order
         self._columns = [(a0,)]
-        self._sorted_columns = [(a0,)]
         self._index = {(a0,): 0}  # column -> its index in a row
         self._s_rows = None  # rows of S; None until the next check after a column
         self._unclosed = None  # heap of (shortlex key, r), rebuilt with _s_rows
@@ -126,7 +125,6 @@ class ObservationTable:
 
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
-        self._sorted_columns = sorted(self._columns, key=shortlex_key)
         self._index = {c: i for i, c in enumerate(self._columns)}
         self._s_rows = self._unclosed = self._groups = None
         i = self._index[col]  # a new sigma_e column goes in before E
@@ -184,8 +182,8 @@ class ObservationTable:
         for w2 in members[1:]:
             if (row2 := self.row(w2 + (a,))) == base_row:
                 continue
-            e = next(col for col in self._sorted_columns
-                     if base_row[self._index[col]] != row2[self._index[col]])
+            e = min((col for col, x, y in zip(self._columns, base_row, row2) if x != y),
+                    key=shortlex_key)
             key = (shortlex_key(base), shortlex_key(w2), shortlex_key((a,)), shortlex_key(e))
             return key, (base, w2, a, e)
         return None

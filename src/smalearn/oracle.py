@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cache
-from operator import attrgetter
 
 from .automata import (SMealy, _no_transition, _steps, first_difference, restrict,
                        state_groups, symbolic_equiv)
@@ -38,7 +37,7 @@ def essential_characters(target: SMealy) -> list:
     grid of its guards' lower endpoints and the axis minima."""
     alg = target.algebra
     chars = {tuple(axis.min_char() for axis in alg._axes)}  # grid points, 1-tuples in 1-D
-    for _q, trs in itertools.groupby(target.transitions, key=attrgetter("source")):
+    for trs in target._by_state.values():
         columns = zip(*(box for tr in trs for box in alg._boxes(tr.guard)))  # comps per axis
         lows = ({axis.min_char(), *(lo for c in comps for lo, _hi in c.ivs)}
                 for axis, comps in zip(alg._axes, columns))
@@ -237,16 +236,11 @@ class Oracle:
         self.target = target
         self.output = OutputOracle(target)
         self.equiv = EquivOracle(target, mode=mode, seed=seed)
+        self.output_query, self.equivalence_query = self.output.query, self.equiv.query
 
     @property
     def essential(self):
         return self.equiv.essential
-
-    def output_query(self, word) -> str:
-        return self.output.query(word)
-
-    def equivalence_query(self, hyp: SMealy):
-        return self.equiv.query(hyp)
 
 
 class ScriptedOracle:
@@ -260,11 +254,9 @@ class ScriptedOracle:
     def __init__(self, target: SMealy, script):
         self.target = target
         self.output = OutputOracle(target)
+        self.output_query = self.output.query
         self.script = [tuple(w) for w in script]
         self._next = 0
-
-    def output_query(self, word) -> str:
-        return self.output.query(word)
 
     def equivalence_query(self, hyp: SMealy):
         if self._next < len(self.script):

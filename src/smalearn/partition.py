@@ -9,14 +9,16 @@ the empty groups nor on the groups' order, so the groups of
 they come.  The functions are deterministic and *stable*: enlarging each sample set within its own output
 predicate does not change the result.  Stability is what lets a learner keep
 refining sample sets without invalidating predicates it already inferred,
-and ``learner.sep_pred`` relies on it: a state keeps its predicates from
-round to round while its groups only grow inside them.
+and ``learner.sep_pred`` relies on it: a state keeps its compiled table
+from round to round while its groups only grow inside its cells.
 
 Both check their groups, label the cells of a label map with them (per axis
 a cut list from the axis minimum, each segment holding the map of the next
 axis or a group label), and ``algebra.read_labels`` reads each group's
 predicate back.  ``learner.sep_pred`` calls the map builders (``label_map_for``)
-on its groups, which are disjoint and normalized, and compiles off the map.
+on its groups, which are disjoint and normalized, labelled with their keys: the
+builders never order two labels (disjoint samples never tie), so any distinct
+labels serve, and the merged map is the state's compiled table.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from smalearn.automata import (
     shortlex_key,
 )
 from smalearn.bench import make_builtin, make_worked_example
-from smalearn.learner import LearningError, _grows_inside
+from smalearn.learner import LearningError
 from smalearn.obstable import COHESIVE, Defect, ObservationTable
 from smalearn.oracle import OracleAssumptionViolation, essential_characters
 
@@ -147,7 +147,7 @@ def product_probe(alg, pred, rng):
 
 def random_nat_groups(rng, max_groups=4, max_chars=40):
     k = rng.randrange(1, max_groups + 1)
-    pool = rng.sample(range(max_chars), rng.randrange(1, 10))
+    pool = rng.sample(range(max_chars), rng.randrange(1, min(10, max_chars + 1)))
     groups = [set() for _ in range(k)]
     for a in pool:
         groups[rng.randrange(k)].add(a)
@@ -1073,6 +1073,21 @@ def sep_pred_full_layout(evidence: ConcreteMealy, algebra: Algebra, partition, m
     return SMealy(algebra, evidence.n_states, evidence.initial, evidence.outputs, transitions)
 
 
+# -- reference keep test on predicates -------------------------------------------------
+
+
+def grows_inside_by_member(old_groups, old_preds, groups) -> bool:
+    """Whether ``groups`` has the keys of ``old_groups`` and only adds samples to them,
+    each inside its key's predicate in ``old_preds``.
+
+    This is ``smalearn.learner._grows_inside`` as it was when the memo kept each
+    state's predicates, copied verbatim but for its name and docstring.
+    """
+    return groups.keys() == old_groups.keys() and all(
+        old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
+        for key, g in groups.items())
+
+
 # -- reference reconstruction check that steps the target ---------------------------
 
 
@@ -1081,8 +1096,8 @@ def state_partitions_stepped(machine, chars, algebra: Algebra, partition, memo=N
 
     This is ``smalearn.automata.state_partitions`` as it was when it stepped
     ``machine`` (an ``SMealy`` or a ``ConcreteMealy``) on ``chars`` instead of
-    reading a concrete machine's rows, copied verbatim but for its name and
-    docstring.
+    reading a concrete machine's rows, copied verbatim but for its name, its
+    docstring and its keep test, ``grows_inside_by_member`` above.
     """
     rank = {o: i for i, o in enumerate(machine.outputs)}
     memo = {} if memo is None else memo
@@ -1091,7 +1106,7 @@ def state_partitions_stepped(machine, chars, algebra: Algebra, partition, memo=N
         for a in chars:
             groups[machine.step(q, a)].add(a)
         old = memo.get(q)
-        if old is not None and _grows_inside(old[0], old[1], groups):
+        if old is not None and grows_inside_by_member(old[0], old[1], groups):
             memo[q] = (groups, *old[1:])
         else:
             keys = sorted(groups, key=lambda key: (key[0], rank[key[1]]))

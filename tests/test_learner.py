@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalearn import learner
-from smalearn.algebra import Algebra
+from smalearn.algebra import Algebra, member, merged_table
 from smalearn.automata import ConcreteMealy, SMealy, restrict, shortlex_key, symbolic_equiv
 from smalearn.bench import (
     RandomSpec,
@@ -19,7 +19,7 @@ from smalearn.bench import (
 from smalearn.learner import LearningError, build_evidence, learn, sep_pred
 from smalearn.obstable import Defect, ObservationTable
 from smalearn.oracle import Oracle, ScriptedOracle, essential_characters
-from smalearn.partition import partitioner_for
+from smalearn.partition import label_map_for, partitioner_for
 
 NAT = Algebra.naturals()
 
@@ -35,6 +35,9 @@ from helpers import (
     check_hypothesis_per_word,
     domain_chars,
     endpoint_grid,
+    grows_inside_by_member,
+    random_nat_groups,
+    random_product_groups,
     record_tables,
     sep_pred_full_layout,
     sym_machines,
@@ -261,7 +264,6 @@ def assert_table_consistent(table):
                      for col, out in zip(table.columns(), row)}
     assert table.structural_violations() == []
     assert table._sorted_words == sorted(words, key=shortlex_key)
-    assert table._sorted_columns == sorted(table.columns(), key=shortlex_key)
     if table._s_rows is not None:
         assert table._s_rows == {table.row(s) for s in table.S}
         assert_heap(table._unclosed, lambda r: r)
@@ -635,8 +637,9 @@ def test_sep_pred_memo_keeps_only_what_partitioning_again_would_give(after, kept
     before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
     memo = {}
     sep_pred(before, NAT, memo)
-    assert memo[0][1] == {(0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
-    kept_preds = memo[0][1]
+    assert {(t.target, t.output): t.guard for t in memo[0][1][0]} == {
+        (0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
+    kept_state = memo[0][1]
     machine = evidence_from_state0(after, n_states=2)
     again = sep_pred(machine, NAT, memo)
     fresh = sep_pred(machine, NAT)
@@ -647,4 +650,72 @@ def test_sep_pred_memo_keeps_only_what_partitioning_again_would_give(after, kept
         {machine.step(q, a) for a in machine.alphabet} for q in range(machine.n_states)]
     assert again.transitions == SMealy(NAT, machine.n_states, 0, machine.outputs, [
         (t.source, t.guard, t.target, t.output) for t in again.transitions]).transitions
-    assert (memo[0][1].get((0, "a")) is kept_preds[(0, "a")]) == kept
+    assert (memo[0][1] is kept_state) == kept
+
+
+def random_state_groups(rng, alg):
+    """Random disjoint sample groups over ``alg``, normalized and keyed by (successor, output)
+    as ``state_groups`` keys them, none empty."""
+    raw = (random_product_groups(rng, alg) if alg.components
+           else random_nat_groups(rng, max_chars=alg.bound or 40))
+    return {(i, "a"): {alg.norm_char(a) for a in g} for i, g in enumerate(raw) if g}
+
+
+@pytest.mark.parametrize("kind", list(GUARD_ALGEBRAS))
+def test_keep_test_on_the_compiled_table_decides_as_on_the_predicates(kind):
+    """``_grows_inside`` on the lookup of a state's compiled table, as ``sep_pred`` builds it,
+    decides as the keep test on the partition's predicates (``grows_inside_by_member``) on
+    groups grown from random ones in each way the memo test names."""
+    alg = GUARD_ALGEBRAS[kind]
+    rng = random.Random(2600 + len(kind))
+    seen = set()
+    for _ in range(300):
+        old = random_state_groups(rng, alg)
+        keys, samples = list(old), [(key, a) for key, g in old.items() for a in g]
+        preds = dict(zip(keys, partitioner_for(alg)(alg, list(old.values()))))
+        table = merged_table(label_map_for(alg)(alg, old), alg.arity)
+        groups = {key: set(g) for key, g in old.items()}
+        fresh = [a for g in random_state_groups(rng, alg).values() for a in g
+                 if all(a not in g for g in old.values())]
+        case = rng.choice(["grown", "sample-left", "sample-moved", "new-key"])
+        if case == "grown" and fresh:
+            for a in fresh:  # mostly into the group whose predicate holds it
+                inside = next(key for key in keys if member(preds[key], a))
+                groups[inside if rng.random() < 0.7 else rng.choice(keys)].add(a)
+        elif case == "sample-left" and len(samples) > 1:
+            key, a = rng.choice(samples)
+            groups[key].discard(a)
+            if not groups[key]:
+                del groups[key]
+        elif case == "sample-moved" and len(keys) > 1:
+            key, a = rng.choice(samples)
+            groups[key].discard(a)
+            groups[rng.choice([k for k in keys if k != key])].add(a)
+            groups = {k: g for k, g in groups.items() if g}
+        elif case == "new-key" and fresh:
+            groups[(len(keys), "a")] = {fresh[0]}
+        else:
+            continue
+        want = grows_inside_by_member(old, preds, groups)
+        assert learner._grows_inside(old, alg.lookup(table), groups) == want
+        seen.add((f"grown-{'inside' if want else 'outside'}" if case == "grown" else case, want))
+    assert seen == {("grown-inside", True), ("grown-outside", False), ("sample-left", False),
+                    ("sample-moved", False), ("new-key", False)}
+
+
+def test_a_counterexample_that_distinguishes_nothing_ends_the_learn():
+    """A teacher that serves a word the hypothesis already answers right gets a
+    ``LearningError`` naming the word after that one equivalence query, not a stall."""
+    target = make_worked_example()
+    teacher = Oracle(target)
+    calls = []
+
+    def equivalence_query(hyp):
+        calls.append(hyp)
+        assert hyp.run((0,)) == target.run((0,))
+        return (0,)
+
+    teacher.equivalence_query = equivalence_query
+    with pytest.raises(LearningError, match=r"counterexample \(0,\) does not distinguish"):
+        learn(teacher, NAT)
+    assert len(calls) == 1
