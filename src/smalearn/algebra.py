@@ -436,6 +436,13 @@ def merged_table(node, depth):
     return tuple(out_cuts), tuple(out_vals)
 
 
+def table_labels(node, depth) -> tuple:
+    """Labels of label map ``node`` over ``depth`` axes by first appearance, depth first:
+    ``read_labels`` order, which for a merged table is by witness."""
+    labels = node[1] if depth == 1 else (x for n in node[1] for x in table_labels(n, depth - 1))
+    return tuple(dict.fromkeys(labels))
+
+
 def _segment_holders(cuts, rows):
     """Per segment of ``cuts``, ``row[1:]`` for each row whose first component, a 1-D
     predicate, holds it, in row order: each interval ``[lo, hi)`` holds the segments

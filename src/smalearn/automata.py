@@ -14,6 +14,7 @@ import json
 import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     Algebra,
@@ -90,23 +91,34 @@ class SMealy:
         states = {}
         for tr in trans:
             states.setdefault(tr.source, []).append(tr)
-        for q, trs in states.items():
-            states[q] = (tuple(trs), *algebra.first_match(
-                [tr.guard for tr in trs], [(tr.target, tr.output) for tr in trs]))
+        self._by_state = {q: tuple(trs) for q, trs in states.items()}  # given guards may overlap
+        for q, trs in self._by_state.items():
+            labels = tuple([(tr.target, tr.output) for tr in trs])
+            states[q] = (labels, *algebra.first_match([tr.guard for tr in trs], labels))
         self._install(algebra, n_states, initial, outputs, states)
 
     def _install(self, algebra, n_states, initial, outputs, states):
         """Set and return the machine; ``states`` maps each state with transitions, ascending,
-        to its transitions by witness and their ``Algebra.first_match`` table and overlaps."""
+        to its labels by witness, their ``first_match`` table and overlaps; guards are read
+        off the tables on first use (``_by_state``)."""
         self.algebra, self.n_states, self.initial = algebra, n_states, initial
         self.outputs = outputs
-        self.transitions = tuple([tr for trs, _, _ in states.values() for tr in trs])
-        # per state with transitions: its transitions, table, overlapping pairs and lookup
-        self._by_state, self._tables, self._overlaps = (
+        # per state with transitions: its labels, table, overlapping pairs and lookup
+        self._labels, self._tables, self._overlaps = (
             {q: state[k] for q, state in states.items()} for k in range(3))
         self._find = {q: algebra.lookup(table) for q, table in self._tables.items()}
         self._oracle_setup = None  # the essential characters, once EquivOracle checks them
         return self
+
+    @cached_property
+    def _by_state(self):  # per state with transitions, its transitions read off its table
+        return {q: tuple([Transition(q, guard, *label) for label, guard in
+                          read_labels(self.algebra, table, self._labels[q]).items()])
+                for q, table in self._tables.items()}
+
+    @cached_property
+    def transitions(self):
+        return tuple([tr for trs in self._by_state.values() for tr in trs])
 
     def __eq__(self, other):
         return (isinstance(other, SMealy)
@@ -117,8 +129,8 @@ class SMealy:
                 and self.transitions == other.transitions)
 
     def __repr__(self):
-        return (f"SMealy(states={self.n_states}, transitions={len(self.transitions)}, "
-                f"outputs={list(self.outputs)})")
+        n = sum(map(len, self._labels.values()))  # no guard is read for this
+        return f"SMealy(states={self.n_states}, transitions={n}, outputs={list(self.outputs)})"
 
     def state_transitions(self, q: int):
         return self._by_state.get(q, ())
@@ -360,9 +372,9 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
     ``AutomatonError`` is raised.  The product is walked by ``first_difference``:
     state pairs in FIFO order, transition pairs in canonical stored order, and
     each frontier character is the minimum of the meet of the two guards, so
-    the witness is deterministic.  Guards are not met: merging the two states'
-    compiled tables (see ``first_match``) gives each meeting pair with that
-    minimum."""
+    the witness is deterministic.  Guards are not met, nor read: merging the two states'
+    compiled tables (see ``first_match``) gives each meeting pair with that minimum, and
+    its labels' ranks in ``_labels`` are the stored transition order."""
     if m1.algebra != m2.algebra:
         raise AlgebraError("equivalence across different algebras")
     alg = m1.algebra
@@ -382,7 +394,7 @@ def symbolic_equiv(m1: SMealy, m2: SMealy):
             if v1 is None or v2 is None:
                 raise _no_transition(q1 if v1 is None else q2, char(corner))
         # a leaf value names one transition: equal (target, output) ones are merged
-        rank1, rank2 = ({(t.target, t.output): i for i, t in enumerate(m.state_transitions(q))}
+        rank1, rank2 = ({label: i for i, label in enumerate(m._labels[q])}
                         for m, q in ((m1, q1), (m2, q2)))
         for ((s1, o1), (s2, o2)), corner in sorted(
                 first.items(), key=lambda kv: (rank1[kv[0][0]], rank2[kv[0][1]])):

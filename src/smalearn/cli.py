@@ -80,7 +80,8 @@ def cmd_learn(args) -> int:
         trace = [] if args.trace else None
         try:
             oracle = Oracle(target, mode=args.oracle, seed=seed)
-            learned, stats = learn(oracle, target.algebra, a0=a0, trace=trace)
+            learned, stats = learn(oracle, target.algebra, a0=a0, trace=trace,
+                                   max_states=target.n_states)
         except (LearningError, OracleAssumptionViolation, AlgebraError) as exc:
             _err(f"learning failed: {exc}")
             return 2

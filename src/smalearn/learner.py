@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import Algebra, merged_table, read_labels
-from .automata import ConcreteMealy, SMealy, Transition, _steps, state_groups
+from .algebra import Algebra, merged_table, table_labels
+from .automata import ConcreteMealy, SMealy, _steps, state_groups
 from .automata import restrict  # noqa: F401  unused; the benchmark's tracing.py SPANS wraps it
 from .obstable import ObservationTable
 from .partition import label_map_for
@@ -64,11 +64,11 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
     each.  Evidence groups are disjoint and normalized, so they go to the
     label-map builder unchecked, labelled with their (successor, output)
     keys; the map, merged (``merged_table``), is the state's compiled table,
-    and its guards are read off it, in ``read_labels`` order, which is by
-    witness for disjoint groups, whatever the order of the groups.
+    and its labels are listed by first appearance (``table_labels``), which is by
+    witness whatever the order of the groups; no guard is read until asked for.
 
-    ``memo`` maps a state to its groups and compiled state, from an earlier
-    call on evidence whose states and outputs mean the same.  A state keeps its
+    ``memo`` maps a state to its groups and ``(labels, table, overlaps)``, from an
+    earlier call on evidence whose states and outputs mean the same.  A state keeps its
     entry while its groups keep their keys, every earlier sample stays in its
     group and every new one lies in its key's cells of the table, which a
     stable partitioning function would reproduce (see ``smalearn.partition``);
@@ -82,8 +82,7 @@ def sep_pred(evidence: ConcreteMealy, algebra: Algebra, memo=None) -> SMealy:
             state = old[1]
         else:
             table = merged_table(label_map(algebra, groups), algebra.arity)
-            state = tuple([Transition(q, pred, *key) for key, pred
-                           in read_labels(algebra, table, groups).items()]), table, ()
+            state = table_labels(table, algebra.arity), table, ()
         memo[q], states[q] = (groups, state), state
     return SMealy.__new__(SMealy)._install(algebra, evidence.n_states, evidence.initial,
                                            evidence.outputs, states)
@@ -139,8 +138,8 @@ def _check_hypothesis(table: ObservationTable, evidence: ConcreteMealy, hyp: SMe
             raise LearningError(f"evidence machine contradicts cell ({w}, {col})")
 
 
-def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
-          trace=None) -> tuple[SMealy, LearnStats]:
+def learn(oracle, algebra: Algebra, a0=None, max_rounds=None, trace=None,
+          max_states=None) -> tuple[SMealy, LearnStats]:
     """Identify the teacher's hidden machine; returns it with run statistics.
 
     Each state's predicates are kept from round to round while its sample
@@ -148,6 +147,10 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
     allows (see ``smalearn.partition``).  A counterexample after which the
     table needs no repair is one the hypothesis already answers as the
     teacher does, and ends the learn with ``LearningError``.
+
+    So does a closing repair that would take ``|S|`` past ``max_states``: S-rows are
+    pairwise distinct, so ``|S|`` never passes the minimal target's size, and with ``|S|``
+    bounded each round's repairs end, even for a teacher that answers at random.
     """
     start = time.perf_counter()
     memo = {}  # evidence state -> its groups and compiled state, see sep_pred
@@ -172,6 +175,9 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None,
         if stats.rounds > cap:
             raise LearningError(f"no convergence within {cap} rounds")
         while (defect := table.check()).kind != "cohesive":
+            if defect.kind == "not_closed" and max_states is not None \
+                    and len(table.S) >= max_states:
+                raise LearningError(f"closing the table would pass max_states={max_states}")
             table.repair(defect)
             cex = None
             emit(lambda: {"event": "repair", "kind": defect.kind,

@@ -3,18 +3,19 @@
 Output queries answer with the target's output for a word.  Equivalence
 queries decide exact equality symbolically, but counterexamples are drawn
 only from the target's *essential characters*: per state, the grid spanned
-by the lower endpoints of its guard boxes (plus the axis minima).  Feeding
-those characters to the partitioning function reproduces each state's guard
-partition, which is verified at construction; it is that property that lets
-a learner terminate without ever seeing other characters.  Both search
-modes of one query read one product graph of hypothesis and target over
-those characters, built for the pairs it reaches from per-state rows: each
-``EquivOracle`` keeps, for its own life and not on the target, every
-compiled state table it has stepped with that state's row, so a state
-whose table the learner keeps is stepped once per learn.  The lexmin mode
-walks the graph with ``first_difference``, the breadth-first walk
-``symbolic_equiv`` runs too; only the random mode, which reads a pair's
-edges more than once, keeps them for its query.
+by the lower endpoints of its guard boxes (plus the axis minima), read off
+its compiled table, as are the hypothesis's.  Feeding those characters to
+the partitioning function reproduces each state's guard partition, which is
+verified at construction; it is that property that lets a learner terminate
+without ever seeing other characters.  Both search modes of one query read
+one product graph of hypothesis and target over those characters, built for
+the pairs it reaches from per-state rows: each ``EquivOracle`` keeps, for
+its own life and not on the target, every compiled state table it has
+stepped with that state's row, so a state whose table the learner keeps is
+stepped once per learn.  The lexmin mode walks the graph with
+``first_difference``, the breadth-first walk ``symbolic_equiv`` runs too;
+only the random mode, which reads a pair's edges more than once, keeps them
+for its query.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ class OracleAssumptionViolation(RuntimeError):
 
 def essential_characters(target: SMealy) -> list:
     """Characters sufficient to identify all of the target's partitions: per state, the
-    grid of its guards' lower endpoints and the axis minima."""
+    grid of its guards' lower endpoints and the axis minima, read off its compiled table:
+    per axis, every cut at that depth.  The machine must be valid, as ``Oracle`` checks
+    first: on a merged, complete table every cut is some guard's lower endpoint."""
     alg = target.algebra
     chars = {tuple(axis.min_char() for axis in alg._axes)}  # grid points, 1-tuples in 1-D
-    for trs in target._by_state.values():
-        columns = zip(*(box for tr in trs for box in alg._boxes(tr.guard)))  # comps per axis
-        lows = ({axis.min_char(), *(lo for c in comps for lo, _hi in c.ivs)}
-                for axis, comps in zip(alg._axes, columns))
+    for table in target._tables.values():
+        lows, level = [], [table]
+        for axis in alg._axes:  # the nodes of one depth, then those below them
+            lows.append({axis.min_char(), *(c for cuts, _ in level for c in cuts)})
+            level = [sub for _, subs in level for sub in subs]
         chars.update(itertools.product(*lows))
     return sorted(chars if alg.components else (a for a, in chars))
 

@@ -18,15 +18,19 @@ from smalearn.algebra import (
     _segment_holders,
     flat_boxes,
     member,
+    merged_table,
+    read_labels,
 )
-from smalearn.partition import _check_groups, partitioner_for
+from smalearn.partition import _check_groups, label_map_for, partitioner_for
 from smalearn.automata import (
     ConcreteMealy,
     SMealy,
+    Transition,
     Violation,
     _no_transition,
     restrict,
     shortlex_key,
+    state_groups,
 )
 from smalearn.bench import make_builtin, make_worked_example
 from smalearn.learner import LearningError
@@ -1086,6 +1090,21 @@ def grows_inside_by_member(old_groups, old_preds, groups) -> bool:
     return groups.keys() == old_groups.keys() and all(
         old_groups[key] <= g and all(member(old_preds[key], a) for a in g - old_groups[key])
         for key, g in groups.items())
+
+
+def eager_sep_pred_transitions(evidence: ConcreteMealy, algebra: Algebra) -> tuple:
+    """The transitions of ``sep_pred(evidence, algebra)``, built eagerly per state.
+
+    The line that builds each state's transitions is ``smalearn.learner.sep_pred``'s
+    as it was before a hypothesis read its guards off its tables on first use,
+    copied verbatim; the loop around it is that function's, without the memo.
+    """
+    label_map, out = label_map_for(algebra), []
+    for q, groups in enumerate(state_groups(evidence)):
+        table = merged_table(label_map(algebra, groups), algebra.arity)
+        out.extend(tuple([Transition(q, pred, *key) for key, pred
+                          in read_labels(algebra, table, groups).items()]))
+    return tuple(out)
 
 
 # -- reference reconstruction check that steps the target ---------------------------

@@ -34,13 +34,16 @@ from helpers import (
     as_snapshot,
     check_hypothesis_per_word,
     domain_chars,
+    eager_sep_pred_transitions,
     endpoint_grid,
+    essential_characters_two_branch,
     grows_inside_by_member,
     random_nat_groups,
     random_product_groups,
     record_tables,
     sep_pred_full_layout,
     sym_machines,
+    symbolic_equiv_pairwise,
 )
 
 
@@ -636,8 +639,8 @@ def evidence_from_state0(moves, n_states=1):
 def test_sep_pred_memo_keeps_only_what_partitioning_again_would_give(after, kept):
     before = evidence_from_state0({0: (0, "a"), 5: (0, "b")})
     memo = {}
-    sep_pred(before, NAT, memo)
-    assert {(t.target, t.output): t.guard for t in memo[0][1][0]} == {
+    hyp = sep_pred(before, NAT, memo)
+    assert {(t.target, t.output): t.guard for t in hyp.transitions} == {
         (0, "a"): NAT.interval(0, 5), (0, "b"): NAT.interval(5, None)}
     kept_state = memo[0][1]
     machine = evidence_from_state0(after, n_states=2)
@@ -659,6 +662,38 @@ def random_state_groups(rng, alg):
     raw = (random_product_groups(rng, alg) if alg.components
            else random_nat_groups(rng, max_chars=alg.bound or 40))
     return {(i, "a"): {alg.norm_char(a) for a in g} for i, g in enumerate(raw) if g}
+
+
+def random_evidence(rng, alg):
+    """Evidence whose state 0 has ``random_state_groups`` and whose other states send each
+    character of the same alphabet to a random successor and output."""
+    groups = random_state_groups(rng, alg)
+    n = max(succ for succ, _ in groups) + 1 + rng.randrange(2)
+    alphabet = sorted(a for g in groups.values() for a in g)
+    moves = {a: key for key, g in groups.items() for a in g}
+    rows = [[moves[a] for a in alphabet]] + [
+        [(rng.randrange(n), rng.choice("ab")) for _ in alphabet] for _ in range(n - 1)]
+    return ConcreteMealy(alphabet, rows, 0, ["a", "b"])
+
+
+@pytest.mark.parametrize("kind", list(GUARD_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sep_pred_hypothesis_is_lazy_over_its_compiled_tables(kind, data):
+    """A hypothesis from ``sep_pred`` answers ``essential_characters`` and ``symbolic_equiv``
+    off its compiled tables, without reading its guards, as the references that read them
+    do; the guards it reads on first use are those ``sep_pred`` built eagerly, by witness,
+    in the order of its labels."""
+    alg = GUARD_ALGEBRAS[kind]
+    evidence = random_evidence(random.Random(data.draw(st.integers(0, 2**32))), alg)
+    hyp, m = sep_pred(evidence, alg), data.draw(sym_machines(alg, valid=True))
+    chars, witness = essential_characters(hyp), symbolic_equiv(hyp, m)
+    assert "_by_state" not in vars(hyp) and "transitions" not in vars(hyp)
+    assert chars == essential_characters_two_branch(hyp)
+    assert witness == symbolic_equiv_pairwise(hyp, m)
+    assert all(list(hyp._labels[q]) == [(t.target, t.output) for t in hyp.state_transitions(q)]
+               for q in range(hyp.n_states))
+    assert hyp.transitions == eager_sep_pred_transitions(evidence, alg)
 
 
 @pytest.mark.parametrize("kind", list(GUARD_ALGEBRAS))
@@ -719,3 +754,64 @@ def test_a_counterexample_that_distinguishes_nothing_ends_the_learn():
     with pytest.raises(LearningError, match=r"counterexample \(0,\) does not distinguish"):
         learn(teacher, NAT)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["worked-example", "mh", "random-20-10"])
+@pytest.mark.parametrize("mode", ["lexmin", "random"])
+def test_learn_poses_lazy_hypotheses(name, mode):
+    """No hypothesis a learn poses has its guards read, by the learner or by the teacher's
+    equivalence query; the learned machine reads them as ``SMealy`` compiles them."""
+    target = {"worked-example": make_worked_example, "mh": make_mh,
+              "random-20-10": lambda: random_sma(RandomSpec(20, 10, 2704))}[name]()
+    teacher = Oracle(target, mode=mode, seed=27)
+    posed, query = [], teacher.equivalence_query
+
+    def equivalence_query(hyp):
+        answer = query(hyp)
+        posed.append("_by_state" not in vars(hyp))
+        return answer
+
+    teacher.equivalence_query = equivalence_query
+    learned, stats = learn(teacher, target.algebra)
+    assert posed == [True] * stats.eq_queries and stats.eq_queries > 1
+    alg = learned.algebra
+    assert learned.transitions == SMealy(alg, learned.n_states, 0, learned.outputs, [
+        (t.source, t.guard, t.target, t.output) for t in learned.transitions]).transitions
+    assert symbolic_equiv(learned, target) is None
+
+
+def test_max_states_stops_a_teacher_that_answers_at_random():
+    """A teacher that answers each word once, at random, fits no finite machine, and
+    without a bound one round's repairs close the table forever; with ``max_states``
+    the learn raises ``LearningError`` naming the bound before ``|S|`` passes it."""
+    rng, answers = random.Random(2705), {}
+
+    class RandomAnswers:
+        output_query = staticmethod(lambda word: answers.setdefault(word, rng.choice("ab")))
+
+        def equivalence_query(self, hyp):
+            return tuple(rng.randrange(10) for _ in range(4))
+
+    sizes = []
+    real_repair = ObservationTable.repair
+
+    def repair(table, defect):
+        real_repair(table, defect)
+        sizes.append(len(table.S))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ObservationTable, "repair", repair)
+        with pytest.raises(LearningError, match="max_states=20"):
+            learn(RandomAnswers(), NAT, max_states=20)
+    assert max(sizes) == 20
+
+
+@pytest.mark.parametrize("make", [make_worked_example, make_mh])
+def test_max_states_at_the_target_size_changes_nothing_and_one_less_raises(make):
+    target = make()
+    learned, stats = learn(Oracle(target), target.algebra)
+    bounded, bounded_stats = learn(Oracle(target), target.algebra, max_states=target.n_states)
+    assert bounded == learned and bounded_stats.eq_queries == stats.eq_queries
+    assert bounded_stats.output_queries == stats.output_queries
+    with pytest.raises(LearningError, match=f"max_states={target.n_states - 1}"):
+        learn(Oracle(target), target.algebra, max_states=target.n_states - 1)
