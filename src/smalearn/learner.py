@@ -150,7 +150,9 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None, trace=None,
 
     So does a closing repair that would take ``|S|`` past ``max_states``: S-rows are
     pairwise distinct, so ``|S|`` never passes the minimal target's size, and with ``|S|``
-    bounded each round's repairs end, even for a teacher that answers at random.
+    bounded each round's repairs end, even for a teacher that answers at random.  So does
+    a consistency repair whose column is already in ``E``, which only a teacher answering
+    one word two ways can cause, and more than ``max_rounds`` rounds (10,010 by default).
     """
     start = time.perf_counter()
     memo = {}  # evidence state -> its groups and compiled state, see sep_pred
@@ -158,7 +160,7 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None, trace=None,
         a0 = algebra.min_char()
     table = ObservationTable(algebra, oracle.output_query, a0)
     stats = LearnStats()
-    cap = max_rounds if max_rounds is not None else 10 * (len(table.sigma_e) + 1000)
+    cap = 10_010 if max_rounds is None else max_rounds
 
     def emit(make_event):
         # events are built only when a trace is kept; they give the table's sizes, not a copy
@@ -178,6 +180,12 @@ def learn(oracle, algebra: Algebra, a0=None, max_rounds=None, trace=None,
             if defect.kind == "not_closed" and max_states is not None \
                     and len(table.S) >= max_states:
                 raise LearningError(f"closing the table would pass max_states={max_states}")
+            if defect.kind == "not_consistent":
+                base, w2, a, e = defect.witness
+                if (a,) + e in table.E:  # a·e is equal in both rows: a word has two answers
+                    word = next(w + (a,) + e for w in (base, w2)
+                                if table.cell(w, (a,) + e) != table.cell(w + (a,), e))
+                    raise LearningError(f"the teacher answered {word} two ways")
             table.repair(defect)
             cex = None
             emit(lambda: {"event": "repair", "kind": defect.kind,

@@ -1,21 +1,13 @@
 """Simulated teacher over a hidden target machine.
 
-Output queries answer with the target's output for a word.  Equivalence
-queries decide exact equality symbolically, but counterexamples are drawn
-only from the target's *essential characters*: per state, the grid spanned
-by the lower endpoints of its guard boxes (plus the axis minima), read off
-its compiled table, as are the hypothesis's.  Feeding those characters to
-the partitioning function reproduces each state's guard partition, which is
-verified at construction; it is that property that lets a learner terminate
-without ever seeing other characters.  Both search modes of one query read
-one product graph of hypothesis and target over those characters, built for
-the pairs it reaches from per-state rows: each ``EquivOracle`` keeps, for
-its own life and not on the target, every compiled state table it has
-stepped with that state's row, so a state whose table the learner keeps is
-stepped once per learn.  The lexmin mode walks the graph with
-``first_difference``, the breadth-first walk ``symbolic_equiv`` runs too;
-only the random mode, which reads a pair's edges more than once, keeps them
-for its query.
+Output queries answer with the target's output for a word.  Counterexamples are drawn
+only from the target's *essential characters*: per state, the grid spanned by the lower
+endpoints of its guard boxes (plus the axis minima), read off its compiled table, as are
+the hypothesis's.  Feeding them to the partitioning function rebuilds each state's guard
+partition (checked at construction), so a learner terminates without seeing other
+characters.  One breadth-first walk of the hypothesis-target product over them decides an
+equivalence query; ``symbolic_equiv`` runs only after a walk that finds no difference.
+Each ``EquivOracle`` keeps the row of every compiled state table it has stepped.
 """
 
 from __future__ import annotations
@@ -24,8 +16,8 @@ import itertools
 import random
 from functools import cache
 
-from .automata import (SMealy, _no_transition, _steps, first_difference, restrict,
-                       state_groups, symbolic_equiv)
+from .automata import (AutomatonError, SMealy, _no_transition, _steps, first_difference,
+                       restrict, state_groups, symbolic_equiv)
 from .partition import partitioner_for
 
 
@@ -121,54 +113,41 @@ class EquivOracle:
     def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None):
         if mode not in ("lexmin", "random"):
             raise ValueError(f"unknown oracle mode {mode!r}")
-        self.target = target
-        self.mode = mode
-        self.rng = random.Random(seed)
+        self.target, self.mode, self.rng = target, mode, random.Random(seed)
         if target._oracle_setup is None:  # once per target object, kept once checked
             essential = essential_characters(target)
             check_partition_reconstruction(target, essential)
             target._oracle_setup = tuple(essential)
         self.essential = list(target._oracle_setup)
         self._rows = {}  # compiled state table -> its (successor, output) per essential char
-        self.queries = 0
 
     def query(self, hyp: SMealy):
-        """None when equivalent; otherwise a counterexample word."""
-        self.queries += 1
-        if symbolic_equiv(hyp, self.target) is None:
-            return None
+        """None when equivalent, else the walk's counterexample or, in random mode, a draw
+        among the words of its length; a difference only ``symbolic_equiv`` finds raises."""
         edges = _product_graph(hyp, self.target, self.essential, self._rows)
+        if self.mode == "random":
+            edges = cache(edges)  # one list per pair for the walk, the counts and the draw
         start = (hyp.initial, self.target.initial)
-        cex = (first_difference(edges, start) if self.mode == "lexmin"
-               else self._search_random(hyp, edges, start))
+        cex = first_difference(edges, start)
         if cex is None:
-            raise OracleAssumptionViolation(
-                "hypothesis differs from the target but agrees on all words "
-                "over the essential characters")
-        return cex
-
-    def _search_random(self, hyp: SMealy, edges, start):
-        """Random counterexample: minimal length, then fewest new characters.
-
-        Among the minimal-length disagreeing words, those using the fewest
-        characters that do not already occur in the hypothesis's guards are
-        preferred, and the draw is seeded-uniform within that class.  A
-        shortest word revealing several characters at once would skip
-        refinement steps the learner is entitled to take one by one.  Words
-        are counted only over the state pairs reachable at each depth.
-        """
-        edges = cache(edges)  # layers, counts and the draw read a pair's edges
-        # layers[k]: the pairs reachable in exactly k steps; a pair can recur
-        # at a later depth, so a layer is every successor of the one before
-        layers = [[start]]
-        seen = set(layers[0])
-        while not any(differs for pair in layers[-1] for _a, _nxt, differs in edges(pair)):
-            layer = dict.fromkeys(nxt for pair in layers[-1] for _a, nxt, _differs in edges(pair))
-            if seen.issuperset(layer):
+            if symbolic_equiv(hyp, self.target) is None:
                 return None
-            seen.update(layer)
-            layers.append(list(layer))
-        length = len(layers)
+            raise OracleAssumptionViolation("hypothesis differs from the target but agrees "
+                                            "on all words over the essential characters")
+        return cex if self.mode == "lexmin" else self._search_random(hyp, edges, start, len(cex))
+
+    def _search_random(self, hyp: SMealy, edges, start, length):
+        """Random counterexample of ``length``, the least length of a disagreeing word.
+
+        Among those words, the ones using the fewest characters not in the hypothesis's
+        guards are preferred, and the draw is seeded-uniform within that class: a word
+        revealing several characters at once would skip refinement steps the learner is
+        entitled to take one by one.  Words are counted over the pairs reachable at each depth."""
+        # layers[k]: the pairs reachable in exactly k steps, every successor of layers[k - 1]
+        layers = [[start]]
+        for _ in range(length - 1):
+            layers.append(list(dict.fromkeys(
+                nxt for pair in layers[-1] for _a, nxt, _differs in edges(pair))))
         known = set(essential_characters(hyp))
         cost = {a: 0 if a in known else 1 for a in self.essential}
 
@@ -210,16 +189,29 @@ class EquivOracle:
         return tuple(word)
 
 
+def _least_gap(node, depth):
+    """The least corner of a cell of table ``node`` (``depth`` axes) no guard holds, or None."""
+    cuts, vals = node
+    if depth == 1:
+        return (cuts[vals.index(None)],) if None in vals else None
+    return next(((c,) + gap for c, sub in zip(cuts, vals)
+                 if (gap := _least_gap(sub, depth - 1)) is not None), None)
+
+
 def _product_graph(hyp: SMealy, target: SMealy, chars, rows):
     """``edges(pair)``: ``(a, successor pair, outputs differ)`` per character of ``chars`` in
     order, from each state's ``_steps`` row, hypothesis first.  ``rows`` maps a compiled state
     table to its row, kept by the caller: equal tables of one algebra step alike, so a state
-    is stepped once however many pairs or queries reach it.  A state without a table, or one
-    that misses a character, is stepped again and raises on every call."""
+    is stepped once however many pairs or queries reach it.  A state is checked first as by
+    ``symbolic_equiv`` (overlaps, no table, least uncovered character) and stores no row."""
     def row(m, q):
-        table = m._tables.get(q)  # None for a state without transitions, never stored
+        if m._overlaps.get(q):  # on every call: overlapping guards can compile to a stored table
+            raise AutomatonError(f"state {q} has overlapping guards")
+        table = m._tables.get(q)  # None for a state without transitions: _steps raises
         hits = rows.get(table)
         if hits is None:
+            if table is not None and (gap := _least_gap(table, m.algebra.arity)) is not None:
+                raise _no_transition(q, gap if m.algebra.components else gap[0])
             hits = rows[table] = _steps(m, q, chars)
         return hits
 

@@ -1,4 +1,5 @@
 import random
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -754,6 +755,27 @@ def test_a_counterexample_that_distinguishes_nothing_ends_the_learn():
     with pytest.raises(LearningError, match=r"counterexample \(0,\) does not distinguish"):
         learn(teacher, NAT)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed,word", [(15, (23, 1, 23)), (17, (0, 5, 0)),
+                                       (23, (9, 9, 12, 0)), (38, (3, 2, 11, 3))])
+def test_a_teacher_answering_one_word_two_ways_ends_the_learn(seed, word):
+    """A consistency repair whose column is already in E needs a word answered two ways;
+    the learn names it in a ``LearningError`` instead of failing inside the table."""
+    rng, answers = random.Random(seed), {}
+
+    class CoinTeacher:
+        def output_query(self, w):
+            answers.setdefault(tuple(w), set()).add(out := rng.choice("ab"))
+            return out
+
+        def equivalence_query(self, hyp):
+            return tuple(rng.randrange(30) for _ in range(rng.randint(1, 3)))
+
+    with pytest.raises(LearningError, match=f"^the teacher answered {re.escape(str(word))} "
+                                            "two ways$"):
+        learn(CoinTeacher(), NAT, max_rounds=200, max_states=30)
+    assert answers[word] == {"a", "b"}
 
 
 @pytest.mark.parametrize("name", ["worked-example", "mh", "random-20-10"])

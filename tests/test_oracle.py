@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -511,7 +512,6 @@ def test_lexmin_counterexamples_match_reference_run():
     assert oracle.query(hyp_round2()) == (0, 0, 0)
     assert oracle.query(hyp_round3()) == (0, 0, 10, 0)
     assert oracle.query(tgt) is None
-    assert oracle.queries == 4
 
 
 def test_lexmin_counterexample_is_shortlex_minimal():
@@ -671,6 +671,99 @@ def test_search_reaching_an_incomplete_state_raises_automaton_error(mode, state_
     assert symbolic_equiv(hyp, target) == (5,)
     with pytest.raises(AutomatonError, match=r"^no transition from state 1 on 0$"):
         Oracle(target, mode, seed=1).equivalence_query(hyp)
+
+
+def worked_example_with(drop, *transitions):
+    """``make_worked_example()`` without the transitions of the states in ``drop``, plus
+    ``transitions``."""
+    m = make_worked_example()
+    kept = [(t.source, t.guard, t.target, t.output) for t in m.transitions
+            if t.source not in drop]
+    return SMealy(m.algebra, m.n_states, m.initial, m.outputs, kept + list(transitions))
+
+
+STATE_3_ANSWERS_S = (3, NAT.interval(0, None), 0, "S")  # a difference past the faulty state
+
+ONE_WALK_FAULTS = {
+    # (hypothesis, message): the search steps the faulty state before any difference;
+    # unchecked, it would serve (0, 20)
+    "overlap": (lambda: worked_example_with((), (1, NAT.interval(5, 30), 3, "P")),
+                "state 1 has overlapping guards"),
+    # [25, 30) lies under [20, None): state 1 compiles to the target's table, which a
+    # warm oracle has stored
+    "shadowed-overlap": (lambda: worked_example_with(
+        (3,), (1, NAT.interval(25, 30), 3, "P"), STATE_3_ANSWERS_S),
+        "state 1 has overlapping guards"),
+    # [12, 15) is uncovered, and no essential character (0, 10, 20) lies in it
+    "gap": (lambda: worked_example_with(
+        (0, 3), (0, NAT.interval(0, 12), 1, "S"), (0, NAT.interval(15, 20), 2, "S"),
+        (0, NAT.interval(20, None), 0, "B"), STATE_3_ANSWERS_S),
+        "no transition from state 0 on 12"),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("mode", ["lexmin", "random"])
+@pytest.mark.parametrize("name", sorted(ONE_WALK_FAULTS))
+def test_one_walk_rejects_a_faulty_state_it_steps(name, mode, warm):
+    """The search checks each hypothesis state it steps as ``symbolic_equiv`` checks one it
+    reaches, whether or not the oracle has stepped an equal table before."""
+    make_hyp, message = ONE_WALK_FAULTS[name]
+    target = make_worked_example()
+    teacher = Oracle(target, mode, seed=1)
+    if warm:  # every target table stored, with its row
+        assert teacher.equivalence_query(target) is None
+    with pytest.raises(AutomatonError, match=f"^{re.escape(message)}$"):
+        symbolic_equiv(make_hyp(), target)
+    with pytest.raises(AutomatonError, match=f"^{re.escape(message)}$"):
+        teacher.equivalence_query(make_hyp())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(GUARD_ALGEBRAS)).flatmap(
+    lambda kind: sym_machines(GUARD_ALGEBRAS[kind])), st.sampled_from(["lexmin", "random"]))
+def test_one_walk_rejects_a_start_state_as_symbolic_equiv_does(machine, mode):
+    """Both walks step the start pair first, so a hypothesis whose one state overlaps or
+    leaves a cell uncovered, over any algebra, raises the same message in both."""
+    alg = machine.algebra
+    hyp = SMealy(alg, 1, 0, [], [(0, t.guard, 0, t.output)
+                                 for t in machine.transitions if t.source == 0])
+    target = SMealy(alg, 1, 0, [], [(0, alg.top(), 0, "x")])
+
+    def fault(query):
+        try:
+            query()
+        except AutomatonError as err:
+            return str(err)
+        except OracleAssumptionViolation:  # a difference off the target's one character
+            pass
+        return None
+
+    assert (fault(lambda: Oracle(target, mode, seed=1).equivalence_query(hyp))
+            == fault(lambda: symbolic_equiv(hyp, target)))
+
+
+@pytest.mark.parametrize("name", ["worked-example", "mh", "random-20-10"])
+@pytest.mark.parametrize("mode", ["lexmin", "random"])
+def test_one_walk_per_equivalence_query(name, mode, monkeypatch):
+    """Every query walks the essential-character product once, and a complete learn runs
+    ``symbolic_equiv`` once: for the query its hypothesis passes."""
+    target = {"worked-example": make_worked_example, "mh": make_mh,
+              "random-20-10": lambda: random_sma(RandomSpec(20, 10, 2805))}[name]()
+    calls = {"symbolic_equiv": 0, "first_difference": 0}
+
+    def spy(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(oracle, name, counted)
+
+    spy("symbolic_equiv", oracle.symbolic_equiv)
+    spy("first_difference", oracle.first_difference)
+    learned, stats = learner.learn(Oracle(target, mode=mode, seed=28), target.algebra)
+    assert calls == {"symbolic_equiv": 1, "first_difference": stats.eq_queries}
+    assert stats.eq_queries > 1
+    assert symbolic_equiv(learned, target) is None
 
 
 def test_composite_oracle_rejects_invalid_target():
