@@ -15,8 +15,8 @@ Each answer is stored once, in its word's row: a tuple of cells in column
 order.  A new column splices its cell into every row at its index; the
 ``(word, column) -> output`` view ``cells`` is built from the rows.
 
-The table keeps the indexes its defect search reads, and updates them as it
-changes instead of rebuilding them on every :func:`check`:
+The table keeps the indexes its defect search reads current after every
+change, so :func:`check` only reads them:
 
 * ``S ∪ R`` as a list in shortlex order, extended when rows are added;
 * the columns, in table order and as a column -> index dict, rebuilt when a
@@ -24,8 +24,8 @@ changes instead of rebuilding them on every :func:`check`:
 * the set of ``S`` rows, extended by ``make_closed``;
 * the inconsistency groups: prefixes ``p`` of words ``p·a`` grouped by
   ``(row(p), a)``, each group in shortlex order with its cached
-  inconsistency witness.  A new row marks only its own group for
-  re-examination;
+  inconsistency witness.  A new row re-examines only its own group before
+  the change returns;
 * the unclosed heap: ``(shortlex_key(r), r)`` for the ``R`` words whose
   row is not an ``S`` row.  A new ``R`` word is pushed when its row is not
   among the ``S`` rows;
@@ -41,9 +41,10 @@ columns, rows do not change and the ``S``-row set and the word set only
 grow, so a dead entry never comes back to life, and the live top is the
 shortlex-least witness a full rescan would find.
 
-A new column changes every row, so it drops the ``S``-row set, the
-unclosed heap and the groups; the next :func:`check` rebuilds them.  The
-evidence-gap heap does not read rows and is never rebuilt.
+A new column changes every row, so it rebuilds the indexes that read rows
+(the ``S``-row set, the unclosed heap and the groups with their witnesses)
+at once, in the one method the constructor also calls.  The evidence-gap
+heap does not read rows and is never rebuilt.
 """
 
 from __future__ import annotations
@@ -90,13 +91,9 @@ class ObservationTable:
         self._sorted_words = [(), (a0,)]  # S ∪ R in shortlex order
         self._columns = [(a0,)]
         self._index = {(a0,): 0}  # column -> its index in a row
-        self._s_rows = None  # rows of S; None until the next check after a column
-        self._unclosed = None  # heap of (shortlex key, r), rebuilt with _s_rows
         self._gaps = []  # heap of (shortlex key of s·a, s, a); ε·a0 is in R from the start
-        self._groups = None  # (row(p), a) -> prefixes p of words p·a, shortlex order
-        self._witnesses = {}  # group -> (sort key, witness), inconsistent groups only
-        self._dirty = set()  # groups to re-examine
         self._fill_rows(self.words())
+        self._index_rows()
 
     # -- storage -----------------------------------------------------------
 
@@ -126,11 +123,32 @@ class ObservationTable:
     def _add_column(self, col):
         self._columns = [(a,) for a in self.sigma_e] + self.E
         self._index = {c: i for i, c in enumerate(self._columns)}
-        self._s_rows = self._unclosed = self._groups = None
         i = self._index[col]  # a new sigma_e column goes in before E
         for w in self.words():
             row = self._rows[w]
             self._rows[w] = row[:i] + (self._ask(w, col),) + row[i:]
+        self._index_rows()
+
+    def _index_rows(self):
+        """Rebuild every index that reads rows: the ``S`` rows, the unclosed heap, and
+        the inconsistency groups with their witnesses."""
+        s_rows = self._s_rows = {self.row(s) for s in self.S}
+        self._unclosed = [(shortlex_key(r), r) for r in self.R if self.row(r) not in s_rows]
+        heapify(self._unclosed)  # of (shortlex key, r)
+        self._groups = {}  # (row(p), a) -> prefixes p of words p·a, shortlex order
+        for w in self._sorted_words[1:]:  # every word but the empty one
+            self._groups.setdefault((self.row(w[:-1]), w[-1]), []).append(w[:-1])
+        self._witnesses = {}  # group -> (sort key, witness), inconsistent groups only
+        self._examine(self._groups)
+
+    def _examine(self, groups):
+        """Store or drop the witness of each of ``groups``."""
+        for group in groups:
+            found = self._group_witness(group)
+            if found is None:
+                self._witnesses.pop(group, None)
+            else:
+                self._witnesses[group] = found
 
     def cell(self, word, col):
         return self._rows[word][self._index[col]]
@@ -156,19 +174,6 @@ class ObservationTable:
 
     def _find_inconsistency(self):
         """The shortlex-least witness over all groups of prefixes sharing a row and a character."""
-        if self._groups is None:
-            self._groups = {}
-            for w in self._sorted_words[1:]:  # every word but the empty one
-                self._groups.setdefault((self.row(w[:-1]), w[-1]), []).append(w[:-1])
-            self._witnesses = {}
-            self._dirty = set(self._groups)
-        for group in self._dirty:
-            found = self._group_witness(group)
-            if found is None:
-                self._witnesses.pop(group, None)
-            else:
-                self._witnesses[group] = found
-        self._dirty.clear()
         if not self._witnesses:
             return None
         return Defect("not_consistent", min(self._witnesses.values())[1])
@@ -189,12 +194,7 @@ class ObservationTable:
         return None
 
     def _find_unclosed(self):
-        s_rows = self._s_rows
-        if s_rows is None:
-            s_rows = self._s_rows = {self.row(s) for s in self.S}
-            self._unclosed = [(shortlex_key(r), r) for r in self.R if self.row(r) not in s_rows]
-            heapify(self._unclosed)
-        heap = self._unclosed
+        heap, s_rows = self._unclosed, self._s_rows
         while heap and self.row(heap[0][1]) in s_rows:
             heappop(heap)
         return Defect("not_closed", (heap[0][1],)) if heap else None
@@ -231,8 +231,7 @@ class ObservationTable:
             raise ValueError(f"{r} is not an R-row")
         self.R.remove(r)
         self.S.append(r)
-        if self._s_rows is not None:
-            self._s_rows.add(self.row(r))
+        self._s_rows.add(self.row(r))
         for a in self.sigma_e:
             heappush(self._gaps, (shortlex_key(r + (a,)), r, a))
 
@@ -264,18 +263,20 @@ class ObservationTable:
         self._add_rows(cex)
 
     def _add_rows(self, word):
-        """Add the missing prefixes of ``word`` to R, shortest first, fill and index them."""
+        """Add the missing prefixes of ``word`` to R, shortest first, fill and index them,
+        then re-examine the groups they joined."""
         new = [p for p in prefixes(word) if p not in self._rows]
         self.R.extend(new)
         self._fill_rows(new)
+        touched = set()
         for w in new:
             insort(self._sorted_words, w, key=shortlex_key)
-            if self._s_rows is not None and self.row(w) not in self._s_rows:
+            if self.row(w) not in self._s_rows:
                 heappush(self._unclosed, (shortlex_key(w), w))
-            if self._groups is not None:
-                group = (self.row(w[:-1]), w[-1])
-                insort(self._groups.setdefault(group, []), w[:-1], key=shortlex_key)
-                self._dirty.add(group)
+            group = (self.row(w[:-1]), w[-1])
+            insort(self._groups.setdefault(group, []), w[:-1], key=shortlex_key)
+            touched.add(group)
+        self._examine(touched)
 
     # -- inspection ----------------------------------------------------------
 

@@ -4,9 +4,10 @@ Output queries answer with the target's output for a word.  Counterexamples are 
 only from the target's *essential characters*: per state, the grid spanned by the lower
 endpoints of its guard boxes (plus the axis minima), read off its compiled table, as are
 the hypothesis's.  Feeding them to the partitioning function rebuilds each state's guard
-partition (checked at construction), so a learner terminates without seeing other
-characters.  One breadth-first walk of the hypothesis-target product over them decides an
-equivalence query; ``symbolic_equiv`` runs only after a walk that finds no difference.
+partition (checked, after the target is validated, when the first ``EquivOracle`` on a
+target object is built), so a learner terminates without seeing other characters.  One
+breadth-first walk of the hypothesis-target product over them decides an equivalence
+query; ``symbolic_equiv`` runs only after a walk that finds no difference.
 Each ``EquivOracle`` keeps the row of every compiled state table it has stepped.
 """
 
@@ -28,7 +29,7 @@ class OracleAssumptionViolation(RuntimeError):
 def essential_characters(target: SMealy) -> list:
     """Characters sufficient to identify all of the target's partitions: per state, the
     grid of its guards' lower endpoints and the axis minima, read off its compiled table:
-    per axis, every cut at that depth.  The machine must be valid, as ``Oracle`` checks
+    per axis, every cut at that depth.  The machine must be valid, as ``EquivOracle`` checks
     first: on a merged, complete table every cut is some guard's lower endpoint."""
     alg = target.algebra
     chars = {tuple(axis.min_char() for axis in alg._axes)}  # grid points, 1-tuples in 1-D
@@ -115,6 +116,10 @@ class EquivOracle:
             raise ValueError(f"unknown oracle mode {mode!r}")
         self.target, self.mode, self.rng = target, mode, random.Random(seed)
         if target._oracle_setup is None:  # once per target object, kept once checked
+            violations = target.validate()
+            if violations:
+                raise ValueError("target automaton is invalid: "
+                                 + "; ".join(str(v) for v in violations))
             essential = essential_characters(target)
             check_partition_reconstruction(target, essential)
             target._oracle_setup = tuple(essential)
@@ -225,18 +230,10 @@ class Oracle:
     """Composite teacher: output queries plus equivalence queries."""
 
     def __init__(self, target: SMealy, mode: str = "lexmin", seed: int | None = None):
-        violations = target.validate()
-        if violations:
-            raise ValueError("target automaton is invalid: "
-                             + "; ".join(str(v) for v in violations))
         self.target = target
         self.output = OutputOracle(target)
         self.equiv = EquivOracle(target, mode=mode, seed=seed)
         self.output_query, self.equivalence_query = self.output.query, self.equiv.query
-
-    @property
-    def essential(self):
-        return self.equiv.essential
 
 
 class ScriptedOracle:

@@ -268,18 +268,18 @@ def assert_table_consistent(table):
                      for col, out in zip(table.columns(), row)}
     assert table.structural_violations() == []
     assert table._sorted_words == sorted(words, key=shortlex_key)
-    if table._s_rows is not None:
-        assert table._s_rows == {table.row(s) for s in table.S}
-        assert_heap(table._unclosed, lambda r: r)
-        assert unclosed_words(table) == {r for r in table.R if table.row(r) not in table._s_rows}
+    assert table._s_rows == {table.row(s) for s in table.S}
+    assert_heap(table._unclosed, lambda r: r)
+    assert unclosed_words(table) == {r for r in table.R if table.row(r) not in table._s_rows}
     assert_heap(table._gaps, lambda s, a: s + (a,))
     live = {(s, a) for _, s, a in table._gaps if s + (a,) not in words}
     assert live == {(s, a) for s in table.S for a in table.sigma_e if s + (a,) not in words}
-    if table._groups is not None:
-        groups = {}
-        for w in sorted(words - {()}, key=shortlex_key):
-            groups.setdefault((table.row(w[:-1]), w[-1]), []).append(w[:-1])
-        assert table._groups == groups
+    groups = {}
+    for w in sorted(words - {()}, key=shortlex_key):
+        groups.setdefault((table.row(w[:-1]), w[-1]), []).append(w[:-1])
+    assert table._groups == groups
+    witnesses = {g: table._group_witness(g) for g in groups}
+    assert table._witnesses == {g: found for g, found in witnesses.items() if found is not None}
 
 
 def unclosed_words(table):
@@ -329,6 +329,32 @@ def test_incremental_table_after_every_change(monkeypatch, target, mode, seed):
     assert symbolic_equiv(learned, target) is None
     assert len(changes) > stats.eq_queries
     assert len(checks) == stats.eq_queries
+
+
+def test_table_index_rebuilds_once_per_column_never_in_check(monkeypatch):
+    """The indexes that read rows are rebuilt when the table is built and when a column is
+    added, never while ``check`` runs: 68 times in a complete lexmin learn of atgs."""
+    rebuilds, checking = [], []
+    index_rows, check = ObservationTable._index_rows, ObservationTable.check
+
+    def counted(self):
+        rebuilds.append((self, bool(checking)))
+        index_rows(self)
+
+    def checked(self):
+        checking.append(self)
+        try:
+            return check(self)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(ObservationTable, "_index_rows", counted)
+    monkeypatch.setattr(ObservationTable, "check", checked)
+    target = make_atgs()
+    learned, _ = learn(Oracle(target), target.algebra)
+    assert symbolic_equiv(learned, target) is None
+    table = rebuilds[0][0]
+    assert rebuilds == [(table, False)] * len(table.columns()) and len(rebuilds) == 68
 
 
 @contextmanager

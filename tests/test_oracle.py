@@ -221,7 +221,7 @@ def test_an_empty_iterable_raises_the_documented_error(empty):
     with pytest.raises(ValueError, match="^output query needs a non-empty word$"):
         teacher.output_query(empty())
     assert (teacher.output.distinct_queries, teacher.output.total_queries) == (0, 0)
-    for machine in (target, restrict(target, teacher.essential)):
+    for machine in (target, restrict(target, teacher.equiv.essential)):
         with pytest.raises(AutomatonError, match="^output of the empty word is undefined$"):
             machine.run(empty())
     assert teacher.output_query(iter([20])) == target.run(iter([20])) == "B"
@@ -316,21 +316,30 @@ def test_output_oracle_matches_the_two_step_reference_past_a_gap(name):
 
 
 def test_oracles_on_one_target_check_it_once(monkeypatch):
-    checked = []
-    check = oracle.check_partition_reconstruction
+    """Each target object is validated and checked by its first teacher only; a set-up that
+    fails is not remembered, so the next teacher on that target validates it again."""
+    checked, validated = [], []
+    check, validate = oracle.check_partition_reconstruction, SMealy.validate
+    target, twin, broken = make_builtin("mh"), make_builtin("mh"), worked_example_without(3)
     monkeypatch.setattr(oracle, "check_partition_reconstruction",
                         lambda target, chars: checked.append(target) or check(target, chars))
-    target, twin = make_builtin("mh"), make_builtin("mh")
+    monkeypatch.setattr(SMealy, "validate", lambda m: validated.append(m) or validate(m))
     first, second = Oracle(target, "random", seed=1), Oracle(target, "random", seed=1)
-    assert len(checked) == 1 and checked[0] is target
-    Oracle(twin)  # equal, but built apart: checked on its own
-    assert twin == target and len(checked) == 2 and checked[1] is twin
+    assert checked == validated == [target] and checked[0] is validated[0] is target
+    Oracle(twin)  # equal, but built apart: validated and checked on its own
+    assert twin == target and len(checked) == len(validated) == 2
+    assert checked[1] is validated[1] is twin
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^target automaton is invalid: "):
+            Oracle(broken)
+    assert validated[2:] == [broken, broken] and len(checked) == 2
 
     want = essential_characters(target)
-    first.essential.clear()
-    assert second.essential == want and Oracle(target).essential == want
+    first.equiv.essential.clear()
+    assert second.equiv.essential == want and Oracle(target).equiv.essential == want
     hyp = SMealy(target.algebra, 1, 0, [], [(0, target.algebra.top(), 0, "x")])
     assert second.equivalence_query(hyp) == Oracle(twin, "random", seed=1).equivalence_query(hyp)
+    assert len(checked) == 2 and len(validated) == 4
 
 
 def test_a_failed_reconstruction_check_is_not_remembered(monkeypatch):
@@ -340,7 +349,7 @@ def test_a_failed_reconstruction_check_is_not_remembered(monkeypatch):
         with pytest.raises(OracleAssumptionViolation):
             Oracle(target)
     monkeypatch.undo()
-    assert Oracle(target).essential == essential_characters(target)
+    assert Oracle(target).equiv.essential == essential_characters(target)
 
 
 def test_essential_characters_worked_example():
@@ -446,8 +455,9 @@ def test_reconstruction_check_restricts_the_target_first(monkeypatch):
     """The target is restricted before any state is partitioned: a state without
     transitions raises its ``AutomatonError`` before state 0's failed reconstruction."""
     monkeypatch.setattr(oracle, "partitioner_for", rebuilds_bottoms)
+    target = worked_example_without(3)
     with pytest.raises(AutomatonError, match=r"^no transition from state 3 on 0$"):
-        EquivOracle(worked_example_without(3))
+        check_partition_reconstruction(target, essential_characters(target))
 
 
 @pytest.mark.parametrize("kind", sorted(GUARD_ALGEBRAS))
